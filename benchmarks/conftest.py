@@ -20,9 +20,9 @@ from pathlib import Path
 import pytest
 
 from repro.data import CocoLikeDetectionDataset, SyntheticClassificationDataset
-from repro.experiments.runner import Artifacts, facade_run_scenario, facade_spec, run
 from repro.models import alexnet, resnet50, vgg16
 from repro.models.pretrained import fit_classifier_head
+from tests import campaign_support
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 BENCH_JSON = RESULTS_DIR / "BENCH_campaign.json"
@@ -58,42 +58,31 @@ def run_campaign(
 ):
     """Run one campaign on pre-built objects through the Experiment API.
 
-    The spec is assembled exactly the way the historic facades did
-    (``facade_spec`` + ``facade_run_scenario`` + in-memory ``Artifacts``), so
-    campaigns benchmarked here produce the same records and KPIs those
-    facade-based runs did — without going through the deprecated shims.
-    ``num_faults``/``inj_policy``/``num_runs`` override the scenario when
-    given; ``None`` keeps the scenario's own values.
+    ``model_name``/``num_faults``/``inj_policy``/``num_runs`` override the
+    scenario when given (``None`` keeps the scenario's own values); the run
+    itself is :func:`tests.campaign_support.run_campaign`.
     """
     model_name = model_name if model_name is not None else scenario.model_name
-    model = model.eval()
-    resil_model = resil_model.eval() if resil_model is not None else None
-    scenario = facade_run_scenario(
-        scenario,
-        num_faults=num_faults if num_faults is not None else scenario.max_faults_per_image,
-        inj_policy=inj_policy if inj_policy is not None else scenario.inj_policy,
-        num_runs=num_runs if num_runs is not None else scenario.num_runs,
-        model_name=model_name,
-    )
-    spec = facade_spec(
-        name=model_name,
+    overrides: dict = {"model_name": model_name}
+    if num_faults is not None:
+        overrides["max_faults_per_image"] = num_faults
+    if inj_policy is not None:
+        overrides["inj_policy"] = inj_policy
+    if num_runs is not None:
+        overrides["num_runs"] = num_runs
+    return campaign_support.run_campaign(
+        model,
+        dataset,
+        scenario.copy(**overrides),
         task=task,
-        scenario=scenario,
+        resil_model=resil_model,
+        output_dir=output_dir,
         workers=workers,
         num_shards=num_shards,
         prefix_reuse=prefix_reuse,
+        golden_cache=golden_cache,
+        num_classes=num_classes,
         input_shape=input_shape,
-        output_dir=output_dir,
-    )
-    return run(
-        spec,
-        artifacts=Artifacts(
-            model=model,
-            resil_model=resil_model,
-            dataset=dataset,
-            golden_cache=golden_cache,
-            num_classes=num_classes,
-        ),
     )
 
 

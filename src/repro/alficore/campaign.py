@@ -26,12 +26,9 @@ The campaign engine is split into three layers:
   pre-drawn in the fault matrix and the loader's epoch permutations depend
   only on ``(seed, epoch)``.
 
-:class:`CampaignRunner` keeps its PR-1 interface: a classification campaign
-runner with O(batch) memory whose records are *streamed* to
-:class:`~repro.alficore.results.CampaignResultWriter` while only aggregate
-KPIs are kept and returned as a :class:`CampaignSummary`.  It is now a thin
-facade over ``CampaignCore`` + ``ClassificationTask`` and gained ``workers``
-/ ``num_shards`` for parallel execution.
+Campaigns are defined and run through :func:`repro.experiments.run`, which
+assembles a :class:`CampaignCore` with the task adapter of the spec's task
+and hands it to the selected execution backend.
 """
 
 from __future__ import annotations
@@ -47,7 +44,6 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.alficore._deprecation import warn_once
 from repro.alficore.digests import bytes_digest, model_fingerprint
 from repro.alficore.goldencache import GoldenCache
 from repro.alficore.monitoring import MonitorCache, MonitorResult
@@ -69,45 +65,10 @@ from repro.alficore.scenario import ScenarioConfig, default_scenario
 from repro.alficore.wrapper import ptfiwrap
 from repro.data.wrapper import AlfiDataLoaderWrapper, ImageRecord
 from repro.eval.classification import top_k_predictions
-from repro.eval.sdc import FaultOutcome, classify_classification_outcome
+from repro.eval.sdc import classify_classification_outcome
 from repro.nn.forward_plan import ActivationArena, ForwardPlan
 from repro.nn.module import Module
 from repro.pytorchfi.errormodels import ErrorModel
-
-
-@dataclass
-class CampaignSummary:
-    """Aggregate KPIs of one streamed fault-injection campaign."""
-
-    model_name: str
-    num_inferences: int
-    num_fault_groups: int
-    num_applied_faults: int
-    golden_top1_accuracy: float
-    golden_top5_accuracy: float
-    corrupted_top1_accuracy: float
-    masked_rate: float
-    sde_rate: float
-    due_rate: float
-    outcome_counts: dict[str, int] = field(default_factory=dict)
-    output_files: dict[str, str] = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        """JSON-friendly summary."""
-        return {
-            "model_name": self.model_name,
-            "num_inferences": self.num_inferences,
-            "num_fault_groups": self.num_fault_groups,
-            "num_applied_faults": self.num_applied_faults,
-            "golden_top1_accuracy": self.golden_top1_accuracy,
-            "golden_top5_accuracy": self.golden_top5_accuracy,
-            "corrupted_top1_accuracy": self.corrupted_top1_accuracy,
-            "masked_rate": self.masked_rate,
-            "sde_rate": self.sde_rate,
-            "due_rate": self.due_rate,
-            "outcome_counts": dict(self.outcome_counts),
-            "output_files": dict(self.output_files),
-        }
 
 
 def normalize_campaign_scenario(scenario: ScenarioConfig | None, dataset) -> ScenarioConfig:
@@ -216,7 +177,7 @@ class ClassificationState:
     corrupted_top1_hits: int = 0
     outcomes: Counter = field(default_factory=Counter)
     # Buffers below are only filled with ``collect_outputs=True`` (the
-    # ``TestErrorModels_ImgClass`` facade needs raw logits for its output).
+    # classification task's logit-based evaluation and ``extras`` need them).
     golden_logits: list = field(default_factory=list)
     corrupted_logits: list = field(default_factory=list)
     resil_golden_logits: list = field(default_factory=list)
@@ -231,9 +192,9 @@ class ClassificationTask(CampaignTask):
 
     Args:
         collect_outputs: additionally buffer raw logits, labels, DUE flags
-            and the applied-fault log in ``state`` (needed by the
-            ``TestErrorModels_ImgClass`` facade; the streaming
-            :class:`CampaignRunner` keeps this off for O(batch) memory).
+            and the applied-fault log in ``state`` for the logit-based
+            evaluation; off, a run keeps O(batch) memory and reports its
+            KPIs from the aggregate counters.
     """
 
     name = "classification"
@@ -1395,145 +1356,3 @@ class ShardedCampaignExecutor:
                 merge_json_array_files(parts, out_path)
             merged[tag] = str(out_path)
         return merged
-
-
-# --------------------------------------------------------------------------- #
-# the streaming classification campaign runner (PR-1 interface)
-# --------------------------------------------------------------------------- #
-class CampaignRunner:
-    """Run a classification fault-injection campaign without model clones.
-
-    A thin facade over :class:`CampaignCore` + :class:`ClassificationTask`:
-    golden and faulty inference run batch-wise in lock-step through the
-    clone-free sessions, per-inference records are streamed (not buffered)
-    and only aggregate KPIs are kept and returned as a
-    :class:`CampaignSummary`.
-
-    Args:
-        model: the fault-free baseline classifier (restored bit-exactly after
-            every weight fault group).
-        dataset: map-style dataset yielding ``(image, label)``.
-        scenario: campaign configuration.
-        writer: optional :class:`CampaignResultWriter`; when given, the meta
-            file, fault matrix, applied-fault log and per-inference golden /
-            corrupted CSVs are written (records are streamed, not buffered).
-        error_model: overrides the error model derived from the scenario.
-        input_shape: per-sample input shape used for model profiling.
-        custom_monitors: extra monitoring callbacks attached alongside the
-            NaN/Inf monitor.
-        dl_shuffle: shuffle the dataset between epochs (seeded).
-        workers: worker processes for sharded execution (1 = serial).
-        num_shards: campaign shards (defaults to ``workers``); the merged
-            output of any shard count is bit-identical to a serial run.
-        prefix_reuse: suffix-only faulty forwards from the first faulted
-            layer (bit-identical to full forwards; on by default).
-        golden_cache: optional epoch-invariant :class:`GoldenCache` shared
-            by all epochs (and, via file spillover, all shards).
-    """
-
-    def __init__(
-        self,
-        model: Module,
-        dataset,
-        scenario: ScenarioConfig | None = None,
-        writer: CampaignResultWriter | None = None,
-        error_model: ErrorModel | None = None,
-        input_shape: tuple[int, ...] = (3, 32, 32),
-        custom_monitors: list[Callable] | None = None,
-        dl_shuffle: bool = False,
-        workers: int = 1,
-        num_shards: int | None = None,
-        prefix_reuse: bool = True,
-        golden_cache: GoldenCache | None = None,
-    ):
-        warn_once("CampaignRunner", "run()")
-        self.task = ClassificationTask()
-        self.core = CampaignCore(
-            model,
-            dataset,
-            self.task,
-            scenario=scenario,
-            writer=writer,
-            error_model=error_model,
-            input_shape=input_shape,
-            custom_monitors=custom_monitors,
-            dl_shuffle=dl_shuffle,
-            prefix_reuse=prefix_reuse,
-            golden_cache=golden_cache,
-        )
-        self.workers = workers
-        self.num_shards = num_shards
-
-    @property
-    def model(self) -> Module:
-        return self.core.model
-
-    @property
-    def dataset(self):
-        return self.core.dataset
-
-    @property
-    def scenario(self) -> ScenarioConfig:
-        return self.core.scenario
-
-    @property
-    def writer(self) -> CampaignResultWriter | None:
-        return self.core.writer
-
-    @property
-    def wrapper(self) -> ptfiwrap:
-        return self.core.wrapper
-
-    def run(self) -> CampaignSummary:
-        """Execute the campaign and return the aggregate KPIs.
-
-        Delegates to the unified Experiment API entry point with the
-        pre-built :class:`CampaignCore` as an artifact, so the streamed
-        record files are byte-identical to a pure-spec run.
-        """
-        from repro.experiments.runner import Artifacts, facade_spec, run
-
-        self.task.reset()
-        # prefix_reuse/caching in the spec are informational here: the
-        # pre-built core (passed as an artifact) already carries them.  The
-        # kpi file is written by _summarize in the runner's own shape, so the
-        # task plug-in's kpis write is turned off.
-        spec = facade_spec(
-            name=self.scenario.model_name,
-            task="classification",
-            scenario=self.scenario,
-            workers=self.workers,
-            num_shards=self.num_shards,
-            prefix_reuse=self.core.prefix_reuse,
-            task_options={"write_kpis": False},
-        )
-        result = run(spec, artifacts=Artifacts(core=self.core))
-        return self._summarize(result.state, result.output_files)
-
-    def _summarize(self, state: ClassificationState, stream_paths: dict[str, str]) -> CampaignSummary:
-        n = state.inferences
-        outcome_counts = {outcome.value: state.outcomes.get(outcome, 0) for outcome in FaultOutcome}
-        output_files: dict[str, str] = {}
-        writer = self.core.writer
-        if writer is not None:
-            # The Experiment-API write path persisted the meta yml and the
-            # fault matrix (its kpis write is disabled via task_options); the
-            # runner-shaped kpi summary is written below.
-            output_files = dict(stream_paths)
-        summary = CampaignSummary(
-            model_name=self.scenario.model_name,
-            num_inferences=n,
-            num_fault_groups=state.groups,
-            num_applied_faults=state.applied_faults,
-            golden_top1_accuracy=state.golden_top1_hits / n if n else 0.0,
-            golden_top5_accuracy=state.golden_top5_hits / n if n else 0.0,
-            corrupted_top1_accuracy=state.corrupted_top1_hits / n if n else 0.0,
-            masked_rate=state.outcomes.get(FaultOutcome.MASKED, 0) / n if n else 0.0,
-            sde_rate=state.outcomes.get(FaultOutcome.SDE, 0) / n if n else 0.0,
-            due_rate=state.outcomes.get(FaultOutcome.DUE, 0) / n if n else 0.0,
-            outcome_counts=outcome_counts,
-            output_files=output_files,
-        )
-        if writer is not None:
-            summary.output_files["kpis"] = str(writer.write_kpi_summary(summary.as_dict()))
-        return summary

@@ -22,11 +22,11 @@ campaign into one versioned, serializable :class:`ExperimentSpec`:
 * ``register_model`` / ``register_dataset`` / ``register_error_model`` /
   ``register_protection`` / ``register_task`` / ``register_backend`` —
   central registries (:mod:`.registry`); new workloads are registrations,
-  not new facades.
+  not new entry points.
 
-The historic facades (``TestErrorModels_ImgClass``,
-``TestErrorModels_ObjDet``, ``CampaignRunner``) remain as deprecated shims
-that build a spec and delegate here.
+In-memory objects (a fitted model, a custom dataset, a hardened model, a
+golden cache) are handed to ``run(spec, Artifacts(...))``; it is the only
+way to run a campaign.
 """
 
 from repro.experiments.builder import Experiment, ExperimentBuilder

@@ -3,7 +3,7 @@
 Every orthogonal choice of a fault-injection campaign — model, dataset,
 error model, protection policy, task, execution backend — is resolved
 through one of the :class:`Registry` singletons below.  A new workload is a
-*registration*, not a new facade::
+*registration*, not a new entry point::
 
     from repro.experiments import register_model
 
@@ -240,11 +240,13 @@ def register_task(name: str, plugin: Any = None, *, override: bool = False) -> A
 def register_backend(
     name: str, factory: Callable | None = None, *, override: bool = False
 ) -> Callable:
-    """Register an execution backend ``f(core, backend_spec) -> (state, paths)``.
+    """Register an execution backend.
 
-    A backend may also accept a third positional parameter — the spec's
+    Every backend has the one signature
+    ``f(core, backend_spec, execution_spec) -> (state, paths)``: the
+    :class:`~repro.alficore.campaign.CampaignCore` to execute, the spec's
+    :class:`~repro.experiments.spec.BackendSpec` and its
     :class:`~repro.experiments.spec.ExecutionSpec` with the fault-tolerance
-    knobs (retries, shard_timeout, backoff, resume); the runner detects the
-    arity and keeps two-argument backends working unchanged.
+    knobs (retries, shard_timeout, backoff, resume).
     """
     return BACKENDS.register(name, factory, override=override)

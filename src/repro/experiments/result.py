@@ -127,7 +127,7 @@ class CampaignResult:
     results: dict[str, Any] = field(default_factory=dict)
     extras: dict[str, Any] = field(default_factory=dict)
     context: dict[str, Any] = field(default_factory=dict)
-    # Live handles for facade interop; not part of the serialisable surface.
+    # Live in-memory handles; not part of the serialisable surface.
     wrapper: Any = None
     core: Any = None
 

@@ -6,7 +6,7 @@ An :class:`ExperimentTask` adapts one workload family to the declarative
 :class:`~repro.alficore.campaign.CampaignTask`, evaluates the aggregate
 campaign state into KPI objects, writes the workload's result-file set and
 renders a terminal report.  Registering a new ``ExperimentTask`` (via
-``register_task``) is all it takes to open a new workload — no new facade.
+``register_task``) is all it takes to open a new workload.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ class ExperimentTask:
             **self.aux_outputs(writer, state, context),
             **stream_paths,
         }
-        if evaluated and context.get("task_options", {}).get("write_kpis", True):
+        if evaluated:
             kpis = {"corrupted": evaluated["corrupted"].as_dict()}
             if evaluated.get("resil") is not None:
                 kpis["resil"] = evaluated["resil"].as_dict()

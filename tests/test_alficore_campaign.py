@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.alficore import CampaignRunner, CampaignResultWriter, default_scenario
-from repro.alficore.campaign import CampaignSummary
+from campaign_support import run_campaign
+from repro.alficore import CampaignResultWriter, default_scenario
 from repro.data import SyntheticClassificationDataset
 from repro.models import lenet5
 from repro.models.pretrained import fit_classifier_head
@@ -20,45 +20,46 @@ def fitted_model_and_dataset():
     return model, dataset
 
 
-class TestCampaignRunner:
+class TestCampaignEngine:
+    """Streaming runs (``collect_outputs=False``): KPIs come from the counters."""
+
     def test_weight_campaign_restores_model_bit_exactly(self, fitted_model_and_dataset):
         model, dataset = fitted_model_and_dataset
         bits_before = {n: float_to_bits(p.data).copy() for n, p in model.named_parameters()}
         scenario = default_scenario(injection_target="weights", rnd_bit_range=(23, 30), random_seed=3)
-        runner = CampaignRunner(model, dataset, scenario=scenario)
-        summary = runner.run()
-        assert summary.num_inferences == len(dataset)
+        result = run_campaign(model, dataset, scenario, collect_outputs=False)
+        assert result.state.inferences == len(dataset)
         for name, param in model.named_parameters():
             np.testing.assert_array_equal(bits_before[name], float_to_bits(param.data))
 
     def test_rates_sum_to_one(self, fitted_model_and_dataset):
         model, dataset = fitted_model_and_dataset
         scenario = default_scenario(injection_target="weights", random_seed=4)
-        summary = CampaignRunner(model, dataset, scenario=scenario).run()
-        assert summary.masked_rate + summary.sde_rate + summary.due_rate == pytest.approx(1.0)
-        assert summary.golden_top1_accuracy >= 0.9
-        assert sum(summary.outcome_counts.values()) == summary.num_inferences
+        result = run_campaign(model, dataset, scenario, collect_outputs=False)
+        kpis = result.results["corrupted"]
+        assert kpis.masked_rate + kpis.sde_rate + kpis.due_rate == pytest.approx(1.0)
+        assert kpis.golden_top1_accuracy >= 0.9
+        assert sum(result.state.outcomes.values()) == kpis.num_inferences
 
     def test_neuron_campaign_applies_one_fault_per_inference(self, fitted_model_and_dataset):
         model, dataset = fitted_model_and_dataset
         scenario = default_scenario(injection_target="neurons", random_seed=6)
-        runner = CampaignRunner(model, dataset, scenario=scenario)
-        summary = runner.run()
-        assert summary.num_fault_groups == len(dataset)
-        assert summary.num_applied_faults == len(dataset)
+        result = run_campaign(model, dataset, scenario, collect_outputs=False)
+        assert result.state.groups == len(dataset)
+        assert result.state.applied_faults == len(dataset)
         # Shared injector log stays empty: records are collected per group.
-        assert runner.wrapper.fault_injection.applied_faults == []
+        assert result.wrapper.fault_injection.applied_faults == []
 
     def test_streams_written_and_readable(self, fitted_model_and_dataset, tmp_path):
         model, dataset = fitted_model_and_dataset
         scenario = default_scenario(
             injection_target="weights", max_faults_per_image=2, random_seed=7, model_name="stream"
         )
-        writer = CampaignResultWriter(tmp_path, campaign_name="stream")
-        summary = CampaignRunner(model, dataset, scenario=scenario, writer=writer).run()
+        result = run_campaign(model, dataset, scenario, output_dir=tmp_path, collect_outputs=False)
         for key in ("meta", "faults", "applied_faults", "golden_csv", "corrupted_csv", "kpis"):
-            assert key in summary.output_files
+            assert key in result.output_files
 
+        writer = CampaignResultWriter(tmp_path, campaign_name="stream")
         corrupted_rows = writer.read_classification_csv("corrupted")
         golden_rows = writer.read_classification_csv("golden")
         assert len(corrupted_rows) == len(golden_rows) == len(dataset)
@@ -69,26 +70,7 @@ class TestCampaignRunner:
         applied = json.loads((tmp_path / "stream_applied_faults.json").read_text())
         assert len(applied) == 2 * len(dataset)
         kpis = json.loads((tmp_path / "stream_summary_kpis.json").read_text())
-        assert kpis["num_inferences"] == len(dataset)
-
-    def test_matches_clone_based_campaign_outcomes(self, fitted_model_and_dataset):
-        """The clone-free engine must reproduce the legacy campaign KPIs."""
-        from repro.alficore import TestErrorModels_ImgClass
-
-        model, dataset = fitted_model_and_dataset
-        scenario = default_scenario(injection_target="weights", rnd_bit_range=(23, 30), random_seed=8)
-        legacy = TestErrorModels_ImgClass(
-            model=model, model_name="legacy", dataset=dataset, scenario=scenario
-        )
-        legacy_out = legacy.test_rand_ImgClass_SBFs_inj(num_faults=1)
-        summary = CampaignRunner(model, dataset, scenario=scenario).run()
-        assert summary.num_inferences == legacy_out.corrupted.num_inferences
-        assert summary.masked_rate == pytest.approx(legacy_out.corrupted.masked_rate)
-        assert summary.sde_rate == pytest.approx(legacy_out.corrupted.sde_rate)
-        assert summary.due_rate == pytest.approx(legacy_out.corrupted.due_rate)
-        assert summary.corrupted_top1_accuracy == pytest.approx(
-            legacy_out.corrupted.corrupted_top1_accuracy
-        )
+        assert kpis["corrupted"]["num_inferences"] == len(dataset)
 
     @pytest.mark.parametrize("policy,expected_groups", [("per_batch", 6), ("per_epoch", 2)])
     def test_batch_and_epoch_policies(self, fitted_model_and_dataset, policy, expected_groups):
@@ -100,26 +82,26 @@ class TestCampaignRunner:
             num_runs=2,
             random_seed=9,
         )
-        summary = CampaignRunner(model, dataset, scenario=scenario).run()
-        assert summary.num_inferences == 2 * len(dataset)
-        assert summary.num_fault_groups == expected_groups
+        result = run_campaign(model, dataset, scenario, collect_outputs=False)
+        assert result.state.inferences == 2 * len(dataset)
+        assert result.state.groups == expected_groups
 
     def test_per_image_forces_batch_size_one(self, fitted_model_and_dataset):
         model, dataset = fitted_model_and_dataset
         scenario = default_scenario(injection_target="weights", batch_size=4, random_seed=10)
-        runner = CampaignRunner(model, dataset, scenario=scenario)
-        assert runner.scenario.batch_size == 1
-        assert runner.scenario.dataset_size == len(dataset)
+        result = run_campaign(model, dataset, scenario, collect_outputs=False)
+        assert result.core.scenario.batch_size == 1
+        assert result.core.scenario.dataset_size == len(dataset)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            CampaignRunner(lenet5(seed=0), [])
+            run_campaign(lenet5(seed=0), [], default_scenario())
 
     def test_summary_as_dict_round_trips_json(self, fitted_model_and_dataset):
         model, dataset = fitted_model_and_dataset
-        summary = CampaignRunner(
-            model, dataset, scenario=default_scenario(injection_target="weights", random_seed=11)
-        ).run()
-        blob = json.dumps(summary.as_dict())
-        assert isinstance(json.loads(blob), dict)
-        assert isinstance(summary, CampaignSummary)
+        result = run_campaign(
+            model, dataset, default_scenario(injection_target="weights", random_seed=11),
+            collect_outputs=False,
+        )
+        blob = json.dumps(result.summary)
+        assert json.loads(blob)["corrupted"] == result.results["corrupted"].as_dict()

@@ -10,12 +10,9 @@ sharded.
 import numpy as np
 import pytest
 
+from campaign_support import OUTPUT_MODES, assert_same_campaign, run_campaign
 from repro.alficore import (
-    CampaignResultWriter,
-    CampaignRunner,
     GoldenCache,
-    TestErrorModels_ImgClass,
-    TestErrorModels_ObjDet,
     apply_protection,
     collect_activation_bounds,
     default_scenario,
@@ -25,9 +22,6 @@ from repro.models import lenet5, resnet18
 from repro.models.detection import yolov3_tiny
 from repro.models.pretrained import fit_classifier_head
 from repro.tensor.bitops import float_to_bits
-
-TestErrorModels_ImgClass.__test__ = False
-TestErrorModels_ObjDet.__test__ = False
 
 
 @pytest.fixture(scope="module")
@@ -52,39 +46,31 @@ class TestSuffixOnlyBitExactness:
             num_runs=2, model_name="reuse",
         )
 
-        def run(sub, reuse):
-            writer = CampaignResultWriter(tmp_path / sub, campaign_name="reuse")
-            return CampaignRunner(
-                model, dataset, scenario=scenario, writer=writer, prefix_reuse=reuse
-            ).run()
+        def run(sub, reuse, collect_outputs):
+            return run_campaign(
+                model, dataset, scenario, output_dir=tmp_path / f"{sub}_{collect_outputs}",
+                prefix_reuse=reuse, collect_outputs=collect_outputs,
+            )
 
-        full = run(f"{target}_full", False)
-        reused = run(f"{target}_reuse", True)
-        tags = ("golden_csv", "corrupted_csv", "applied_faults")
-        assert _stream_bytes(full.output_files, tags) == _stream_bytes(reused.output_files, tags)
-        full_kpis, reused_kpis = full.as_dict(), reused.as_dict()
-        full_kpis.pop("output_files")
-        reused_kpis.pop("output_files")
-        assert full_kpis == reused_kpis
+        for collect_outputs in OUTPUT_MODES:
+            full = run(f"{target}_full", False, collect_outputs)
+            reused = run(f"{target}_reuse", True, collect_outputs)
+            tags = ("golden_csv", "corrupted_csv", "applied_faults", "kpis")
+            assert _stream_bytes(full.output_files, tags) == _stream_bytes(
+                reused.output_files, tags
+            )
+            assert_same_campaign(full, reused)
 
     @pytest.mark.parametrize("target", ["weights", "neurons"])
     def test_logits_bit_identical_per_error_model(self, fitted_model_and_dataset, target):
         model, dataset = fitted_model_and_dataset
         scenario = default_scenario(
-            injection_target=target, rnd_bit_range=(23, 30), random_seed=22
+            injection_target=target, rnd_bit_range=(23, 30), random_seed=22,
+            model_name="bits", max_faults_per_image=2,
         )
-
-        def run(reuse):
-            return TestErrorModels_ImgClass(
-                model=model, model_name="bits", dataset=dataset, scenario=scenario,
-                prefix_reuse=reuse,
-            ).test_rand_ImgClass_SBFs_inj(num_faults=2)
-
-        full, reused = run(False), run(True)
-        assert full.corrupted_logits.tobytes() == reused.corrupted_logits.tobytes()
-        assert full.golden_logits.tobytes() == reused.golden_logits.tobytes()
-        assert full.due_flags.tolist() == reused.due_flags.tolist()
-        assert full.corrupted.as_dict() == reused.corrupted.as_dict()
+        full = run_campaign(model, dataset, scenario, prefix_reuse=False)
+        reused = run_campaign(model, dataset, scenario, prefix_reuse=True)
+        assert_same_campaign(full, reused)
 
     def test_residual_model_with_atomic_blocks(self, fitted_model_and_dataset):
         _, dataset = fitted_model_and_dataset
@@ -92,9 +78,14 @@ class TestSuffixOnlyBitExactness:
         scenario = default_scenario(
             injection_target="weights", rnd_bit_range=(23, 30), random_seed=23
         )
-        full = CampaignRunner(model, dataset, scenario=scenario, prefix_reuse=False).run()
-        reused = CampaignRunner(model, dataset, scenario=scenario, prefix_reuse=True).run()
-        assert full.as_dict() == reused.as_dict()
+        for collect_outputs in OUTPUT_MODES:
+            full = run_campaign(
+                model, dataset, scenario, prefix_reuse=False, collect_outputs=collect_outputs
+            )
+            reused = run_campaign(
+                model, dataset, scenario, prefix_reuse=True, collect_outputs=collect_outputs
+            )
+            assert_same_campaign(full, reused)
 
     def test_weights_restored_bit_exactly_with_prefix_reuse(self, fitted_model_and_dataset):
         model, dataset = fitted_model_and_dataset
@@ -102,9 +93,7 @@ class TestSuffixOnlyBitExactness:
         scenario = default_scenario(
             injection_target="weights", rnd_bit_range=(23, 30), random_seed=24, num_runs=2
         )
-        CampaignRunner(
-            model, dataset, scenario=scenario, prefix_reuse=True, golden_cache=GoldenCache()
-        ).run()
+        run_campaign(model, dataset, scenario, prefix_reuse=True, golden_cache=GoldenCache())
         for name, param in model.named_parameters():
             np.testing.assert_array_equal(bits_before[name], float_to_bits(param.data))
 
@@ -114,21 +103,20 @@ class TestSuffixOnlyBitExactness:
         bounds = collect_activation_bounds(model, [calibration])
         hardened = apply_protection(model, bounds, "ranger")
         scenario = default_scenario(
-            injection_target="weights", rnd_bit_range=(30, 30), random_seed=25
+            injection_target="weights", rnd_bit_range=(30, 30), random_seed=25,
+            model_name="resil", num_runs=2,
         )
 
         def run(sub, reuse, cache):
-            return TestErrorModels_ImgClass(
-                model=model, resil_model=hardened, model_name="resil", dataset=dataset,
-                scenario=scenario, output_dir=tmp_path / sub,
+            return run_campaign(
+                model, dataset, scenario, resil_model=hardened, output_dir=tmp_path / sub,
                 prefix_reuse=reuse, golden_cache=GoldenCache() if cache else None,
-            ).test_rand_ImgClass_SBFs_inj(num_faults=1, num_runs=2)
+            )
 
         full = run("full", False, False)
         reused = run("reuse", True, True)
-        assert full.resil is not None and reused.resil is not None
-        assert full.resil_logits.tobytes() == reused.resil_logits.tobytes()
-        assert full.corrupted_logits.tobytes() == reused.corrupted_logits.tobytes()
+        assert "resil" in full.summary and "resil" in reused.summary
+        assert_same_campaign(full, reused)
         assert open(full.output_files["resil_csv"], "rb").read() == open(
             reused.output_files["resil_csv"], "rb").read()
 
@@ -170,27 +158,32 @@ class TestSuffixOnlyBitExactness:
         resume = core._resume_index(plan, plan, core.wrapper, FakeGroup())
         assert resume == body_segment
 
-        full = CampaignRunner(model, dataset, scenario=scenario, prefix_reuse=False).run()
-        reused = CampaignRunner(model, dataset, scenario=scenario, prefix_reuse=True).run()
-        assert full.as_dict() == reused.as_dict()
+        for collect_outputs in OUTPUT_MODES:
+            full = run_campaign(
+                model, dataset, scenario, prefix_reuse=False, collect_outputs=collect_outputs
+            )
+            reused = run_campaign(
+                model, dataset, scenario, prefix_reuse=True, collect_outputs=collect_outputs
+            )
+            assert_same_campaign(full, reused)
 
     def test_detection_campaign_unchanged_by_prefix_reuse(self, tmp_path):
         dataset = CocoLikeDetectionDataset(num_samples=4, num_classes=5, seed=6)
         model = yolov3_tiny(num_classes=5, seed=0).eval()
         scenario = default_scenario(
-            injection_target="weights", rnd_bit_range=(23, 30), random_seed=26
+            injection_target="weights", rnd_bit_range=(23, 30), random_seed=26, model_name="det"
         )
 
         def run(sub, reuse):
-            return TestErrorModels_ObjDet(
-                model=model, model_name="det", dataset=dataset, scenario=scenario,
-                output_dir=tmp_path / sub, prefix_reuse=reuse,
-            ).test_rand_ObjDet_SBFs_inj(num_faults=1)
+            return run_campaign(
+                model, dataset, scenario, task="detection", output_dir=tmp_path / sub,
+                prefix_reuse=reuse,
+            )
 
         full, reused = run("full", False), run("reuse", True)
-        tags = ("golden_json", "corrupted_json", "applied_faults")
+        tags = ("golden_json", "corrupted_json", "applied_faults", "kpis")
         assert _stream_bytes(full.output_files, tags) == _stream_bytes(reused.output_files, tags)
-        assert full.corrupted.as_dict() == reused.corrupted.as_dict()
+        assert full.summary["corrupted"] == reused.summary["corrupted"]
 
 
 class TestGoldenCache:
@@ -203,22 +196,25 @@ class TestGoldenCache:
             inj_policy="per_epoch", batch_size=4, num_runs=3, model_name="cache",
         )
 
-        def run(sub, cache):
-            writer = CampaignResultWriter(tmp_path / sub, campaign_name="cache")
-            return CampaignRunner(
-                model, dataset, scenario=scenario, writer=writer,
-                prefix_reuse=True, golden_cache=cache,
-            ).run()
+        def run(sub, cache, collect_outputs):
+            return run_campaign(
+                model, dataset, scenario, output_dir=tmp_path / f"{sub}_{collect_outputs}",
+                prefix_reuse=True, golden_cache=cache, collect_outputs=collect_outputs,
+            )
 
-        cache = GoldenCache()
-        cold = run("off", None)
-        warm = run("on", cache)
-        tags = ("golden_csv", "corrupted_csv", "applied_faults")
-        assert _stream_bytes(cold.output_files, tags) == _stream_bytes(warm.output_files, tags)
-        # Epochs 2 and 3 must be served from the epoch-invariant entries.
-        assert cache.hits > 0
-        stats = cache.stats()
-        assert stats["entries"] > 0 and stats["nbytes"] > 0
+        for collect_outputs in OUTPUT_MODES:
+            cache = GoldenCache()
+            cold = run("off", None, collect_outputs)
+            warm = run("on", cache, collect_outputs)
+            tags = ("golden_csv", "corrupted_csv", "applied_faults")
+            assert _stream_bytes(cold.output_files, tags) == _stream_bytes(
+                warm.output_files, tags
+            )
+            assert_same_campaign(cold, warm)
+            # Epochs 2 and 3 must be served from the epoch-invariant entries.
+            assert cache.hits > 0
+            stats = cache.stats()
+            assert stats["entries"] > 0 and stats["nbytes"] > 0
 
     def test_cache_reuse_across_campaigns_via_spillover(
         self, fitted_model_and_dataset, tmp_path
@@ -227,20 +223,24 @@ class TestGoldenCache:
         scenario = default_scenario(
             injection_target="weights", rnd_bit_range=(23, 30), random_seed=28, num_runs=2
         )
-        spill = tmp_path / "spill"
-        baseline = CampaignRunner(model, dataset, scenario=scenario, prefix_reuse=True).run()
-        first = CampaignRunner(
-            model, dataset, scenario=scenario, prefix_reuse=True,
-            golden_cache=GoldenCache(spill_dir=spill),
-        ).run()
-        # A fresh in-memory cache sharing the spill dir starts warm, as a
-        # shard process reusing another shard's golden passes would.
-        second_cache = GoldenCache(spill_dir=spill)
-        second = CampaignRunner(
-            model, dataset, scenario=scenario, prefix_reuse=True, golden_cache=second_cache
-        ).run()
-        assert second_cache.hits > 0
-        assert baseline.as_dict() == first.as_dict() == second.as_dict()
+        for collect_outputs in OUTPUT_MODES:
+            spill = tmp_path / f"spill_{collect_outputs}"
+
+            def run(cache):
+                return run_campaign(
+                    model, dataset, scenario, prefix_reuse=True, golden_cache=cache,
+                    collect_outputs=collect_outputs,
+                )
+
+            baseline = run(None)
+            first = run(GoldenCache(spill_dir=spill))
+            # A fresh in-memory cache sharing the spill dir starts warm, as a
+            # shard process reusing another shard's golden passes would.
+            second_cache = GoldenCache(spill_dir=spill)
+            second = run(second_cache)
+            assert second_cache.hits > 0
+            assert_same_campaign(baseline, first)
+            assert_same_campaign(baseline, second)
 
     def test_stale_spillover_entries_never_match_changed_weights(
         self, fitted_model_and_dataset, tmp_path
@@ -252,45 +252,56 @@ class TestGoldenCache:
         scenario = default_scenario(
             injection_target="weights", rnd_bit_range=(23, 30), random_seed=33, num_runs=2
         )
-        spill = tmp_path / "spill"
-        CampaignRunner(
-            model, dataset, scenario=scenario, prefix_reuse=True,
-            golden_cache=GoldenCache(spill_dir=spill),
-        ).run()
-
         mutated = model.clone()
         first_param = next(iter(mutated.parameters()))
         first_param.data[...] = first_param.data * 1.5
-        baseline = CampaignRunner(mutated, dataset, scenario=scenario, prefix_reuse=False).run()
-        stale_cache = GoldenCache(spill_dir=spill)
-        reused = CampaignRunner(
-            mutated, dataset, scenario=scenario, prefix_reuse=True, golden_cache=stale_cache
-        ).run()
-        assert baseline.as_dict() == reused.as_dict()
-        # The old entries were keyed under the old weight fingerprint.
-        assert stale_cache.misses > 0
+        for collect_outputs in OUTPUT_MODES:
+            spill = tmp_path / f"spill_{collect_outputs}"
+            run_campaign(
+                model, dataset, scenario, prefix_reuse=True,
+                golden_cache=GoldenCache(spill_dir=spill), collect_outputs=collect_outputs,
+            )
+            baseline = run_campaign(
+                mutated, dataset, scenario, prefix_reuse=False, collect_outputs=collect_outputs
+            )
+            stale_cache = GoldenCache(spill_dir=spill)
+            reused = run_campaign(
+                mutated, dataset, scenario, prefix_reuse=True, golden_cache=stale_cache,
+                collect_outputs=collect_outputs,
+            )
+            assert_same_campaign(baseline, reused)
+            # The old entries were keyed under the old weight fingerprint.
+            assert stale_cache.misses > 0
 
     def test_tiny_budget_evicts_but_stays_correct(self, fitted_model_and_dataset):
         model, dataset = fitted_model_and_dataset
         scenario = default_scenario(
             injection_target="weights", rnd_bit_range=(23, 30), random_seed=29, num_runs=2
         )
-        tiny = GoldenCache(byte_budget=1)  # evicts everything but the newest entry
-        baseline = CampaignRunner(model, dataset, scenario=scenario, prefix_reuse=True).run()
-        constrained = CampaignRunner(
-            model, dataset, scenario=scenario, prefix_reuse=True, golden_cache=tiny
-        ).run()
-        assert len(tiny) <= 2
-        assert baseline.as_dict() == constrained.as_dict()
+        for collect_outputs in OUTPUT_MODES:
+            tiny = GoldenCache(byte_budget=1)  # evicts everything but the newest entry
+            baseline = run_campaign(
+                model, dataset, scenario, prefix_reuse=True, collect_outputs=collect_outputs
+            )
+            constrained = run_campaign(
+                model, dataset, scenario, prefix_reuse=True, golden_cache=tiny,
+                collect_outputs=collect_outputs,
+            )
+            assert len(tiny) <= 2
+            assert_same_campaign(baseline, constrained)
 
     def test_neuron_campaign_with_cache_matches_baseline(self, fitted_model_and_dataset):
         model, dataset = fitted_model_and_dataset
         scenario = default_scenario(injection_target="neurons", random_seed=30, num_runs=2)
-        baseline = CampaignRunner(model, dataset, scenario=scenario, prefix_reuse=False).run()
-        cached = CampaignRunner(
-            model, dataset, scenario=scenario, prefix_reuse=True, golden_cache=GoldenCache()
-        ).run()
-        assert baseline.as_dict() == cached.as_dict()
+        for collect_outputs in OUTPUT_MODES:
+            baseline = run_campaign(
+                model, dataset, scenario, prefix_reuse=False, collect_outputs=collect_outputs
+            )
+            cached = run_campaign(
+                model, dataset, scenario, prefix_reuse=True, golden_cache=GoldenCache(),
+                collect_outputs=collect_outputs,
+            )
+            assert_same_campaign(baseline, cached)
 
     def test_stale_spillover_entries_never_match_changed_dataset(
         self, fitted_model_and_dataset, tmp_path
@@ -301,19 +312,22 @@ class TestGoldenCache:
         scenario = default_scenario(
             injection_target="weights", rnd_bit_range=(23, 30), random_seed=35, num_runs=2
         )
-        spill = tmp_path / "spill"
         old_dataset = SyntheticClassificationDataset(num_samples=8, num_classes=10, noise=0.2, seed=11)
-        CampaignRunner(
-            model, old_dataset, scenario=scenario, prefix_reuse=True,
-            golden_cache=GoldenCache(spill_dir=spill),
-        ).run()
         new_dataset = SyntheticClassificationDataset(num_samples=8, num_classes=10, noise=0.2, seed=12)
-        baseline = CampaignRunner(model, new_dataset, scenario=scenario, prefix_reuse=False).run()
-        reused = CampaignRunner(
-            model, new_dataset, scenario=scenario, prefix_reuse=True,
-            golden_cache=GoldenCache(spill_dir=spill),
-        ).run()
-        assert baseline.as_dict() == reused.as_dict()
+        for collect_outputs in OUTPUT_MODES:
+            spill = tmp_path / f"spill_{collect_outputs}"
+            run_campaign(
+                model, old_dataset, scenario, prefix_reuse=True,
+                golden_cache=GoldenCache(spill_dir=spill), collect_outputs=collect_outputs,
+            )
+            baseline = run_campaign(
+                model, new_dataset, scenario, prefix_reuse=False, collect_outputs=collect_outputs
+            )
+            reused = run_campaign(
+                model, new_dataset, scenario, prefix_reuse=True,
+                golden_cache=GoldenCache(spill_dir=spill), collect_outputs=collect_outputs,
+            )
+            assert_same_campaign(baseline, reused)
 
     def test_single_epoch_campaign_drops_useless_in_memory_cache(
         self, fitted_model_and_dataset, tmp_path

@@ -12,15 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.alficore import (
-    CampaignResultWriter,
-    CampaignRunner,
-    GoldenCache,
-    TestErrorModels_ImgClass,
-    TestErrorModels_ObjDet,
-    default_scenario,
-)
-from repro.alficore.campaign import ShardedCampaignExecutor
+from campaign_support import OUTPUT_MODES, assert_same_campaign, run_campaign
+from repro.alficore import GoldenCache, default_scenario
+from repro.alficore.campaign import CampaignCore, ClassificationTask, ShardedCampaignExecutor
 from repro.alficore.results import merge_csv_files, merge_json_array_files
 from repro.alficore.wrapper import ptfiwrap
 from repro.data import CocoLikeDetectionDataset, SyntheticClassificationDataset
@@ -28,9 +22,6 @@ from repro.models import lenet5
 from repro.models.detection import yolov3_tiny
 from repro.models.pretrained import fit_classifier_head
 from repro.tensor.bitops import float_to_bits
-
-TestErrorModels_ImgClass.__test__ = False
-TestErrorModels_ObjDet.__test__ = False
 
 
 @pytest.fixture(scope="module")
@@ -55,11 +46,11 @@ class TestShardBounds:
     def test_bounds_are_contiguous_and_balanced(self, fitted_model_and_dataset):
         model, dataset = fitted_model_and_dataset
         scenario = default_scenario(injection_target="weights", random_seed=1, num_runs=2)
-        runner = CampaignRunner(model, dataset, scenario=scenario)
-        executor = ShardedCampaignExecutor(runner.core, workers=1, num_shards=5)
+        core = CampaignCore(model, dataset, ClassificationTask(), scenario=scenario)
+        executor = ShardedCampaignExecutor(core, workers=1, num_shards=5)
         bounds = executor.shard_bounds()
         assert bounds[0][0] == 0
-        assert bounds[-1][1] == runner.core.total_steps
+        assert bounds[-1][1] == core.total_steps
         for (_, stop), (start, _) in zip(bounds, bounds[1:]):
             assert stop == start
         sizes = [stop - start for start, stop in bounds]
@@ -67,13 +58,12 @@ class TestShardBounds:
 
     def test_more_shards_than_steps_is_clamped(self, fitted_model_and_dataset):
         model, dataset = fitted_model_and_dataset
-        runner = CampaignRunner(
-            model, dataset, scenario=default_scenario(injection_target="weights", random_seed=1)
-        )
-        executor = ShardedCampaignExecutor(runner.core, workers=1, num_shards=1000)
-        assert executor.num_shards == runner.core.total_steps
-        summary = runner.run()
-        assert summary.num_inferences == len(dataset)
+        scenario = default_scenario(injection_target="weights", random_seed=1)
+        core = CampaignCore(model, dataset, ClassificationTask(), scenario=scenario)
+        executor = ShardedCampaignExecutor(core, workers=1, num_shards=1000)
+        assert executor.num_shards == core.total_steps
+        result = run_campaign(model, dataset, scenario, num_shards=1000)
+        assert result.state.inferences == len(dataset)
 
 
 class TestClassificationShardEquivalence:
@@ -86,24 +76,20 @@ class TestClassificationShardEquivalence:
             injection_target="weights", rnd_bit_range=(23, 30), random_seed=7, model_name="shard"
         )
 
-        def run(sub: str, workers: int, num_shards: int):
-            writer = CampaignResultWriter(tmp_path / sub, campaign_name="shard")
-            runner = CampaignRunner(
-                model, dataset, scenario=scenario, writer=writer,
-                workers=workers, num_shards=num_shards,
+        def run(sub: str, workers: int, num_shards: int, collect_outputs: bool):
+            return run_campaign(
+                model, dataset, scenario, output_dir=tmp_path / f"{sub}_{collect_outputs}",
+                workers=workers, num_shards=num_shards, collect_outputs=collect_outputs,
             )
-            return runner.run()
 
-        serial = run("serial", 1, 1)
-        sharded = run(f"sharded_{workers}x{num_shards}", workers, num_shards)
-
-        for tag in ("golden_csv", "corrupted_csv", "applied_faults", "faults", "meta"):
-            assert _file_bytes(serial.output_files[tag]) == _file_bytes(sharded.output_files[tag])
-        serial_kpis = serial.as_dict()
-        sharded_kpis = sharded.as_dict()
-        serial_kpis.pop("output_files")
-        sharded_kpis.pop("output_files")
-        assert serial_kpis == sharded_kpis
+        for collect_outputs in OUTPUT_MODES:
+            serial = run("serial", 1, 1, collect_outputs)
+            sharded = run(f"sharded_{workers}x{num_shards}", workers, num_shards, collect_outputs)
+            for tag in ("golden_csv", "corrupted_csv", "applied_faults", "faults", "meta", "kpis"):
+                assert _file_bytes(serial.output_files[tag]) == _file_bytes(
+                    sharded.output_files[tag]
+                )
+            assert_same_campaign(serial, sharded)
 
     @pytest.mark.parametrize("workers,num_shards", [(1, 3), (2, 3)])
     def test_sharded_prefix_reuse_matches_serial_full_forward(
@@ -118,44 +104,49 @@ class TestClassificationShardEquivalence:
             num_runs=2, model_name="reuse_shard",
         )
 
-        def run(sub: str, workers: int, num_shards: int, reuse: bool):
-            writer = CampaignResultWriter(tmp_path / sub, campaign_name="reuse_shard")
-            runner = CampaignRunner(
-                model, dataset, scenario=scenario, writer=writer,
+        def run(sub: str, workers: int, num_shards: int, reuse: bool, collect_outputs: bool):
+            return run_campaign(
+                model, dataset, scenario, output_dir=tmp_path / sub,
                 workers=workers, num_shards=num_shards,
                 prefix_reuse=reuse, golden_cache=GoldenCache() if reuse else None,
+                collect_outputs=collect_outputs,
             )
-            return runner.run()
 
-        serial = run("serial_full", 1, 1, reuse=False)
-        sharded = run(f"sharded_reuse_{workers}x{num_shards}", workers, num_shards, reuse=True)
-
-        for tag in ("golden_csv", "corrupted_csv", "applied_faults", "faults"):
-            assert _file_bytes(serial.output_files[tag]) == _file_bytes(sharded.output_files[tag])
-        serial_kpis, sharded_kpis = serial.as_dict(), sharded.as_dict()
-        serial_kpis.pop("output_files")
-        sharded_kpis.pop("output_files")
-        assert serial_kpis == sharded_kpis
-        # The shards shared one golden-cache spillover directory.
-        spill = tmp_path / f"sharded_reuse_{workers}x{num_shards}" / "golden_cache"
-        assert spill.is_dir() and any(spill.iterdir())
+        for collect_outputs in OUTPUT_MODES:
+            sharded_sub = f"sharded_reuse_{workers}x{num_shards}_{collect_outputs}"
+            serial = run(f"serial_full_{collect_outputs}", 1, 1, False, collect_outputs)
+            sharded = run(sharded_sub, workers, num_shards, True, collect_outputs)
+            for tag in ("golden_csv", "corrupted_csv", "applied_faults", "faults"):
+                assert _file_bytes(serial.output_files[tag]) == _file_bytes(
+                    sharded.output_files[tag]
+                )
+            assert_same_campaign(serial, sharded)
+            # The shards shared one golden-cache spillover directory.
+            spill = tmp_path / sharded_sub / "golden_cache"
+            assert spill.is_dir() and any(spill.iterdir())
 
     def test_sharded_neuron_prefix_reuse_matches_serial(self, fitted_model_and_dataset):
         model, dataset = fitted_model_and_dataset
         scenario = default_scenario(injection_target="neurons", random_seed=21, num_runs=2)
-        serial = CampaignRunner(model, dataset, scenario=scenario, prefix_reuse=False).run()
-        sharded = CampaignRunner(
-            model, dataset, scenario=scenario, workers=2, num_shards=4,
-            prefix_reuse=True, golden_cache=GoldenCache(),
-        ).run()
-        assert serial.as_dict() == sharded.as_dict()
+        for collect_outputs in OUTPUT_MODES:
+            serial = run_campaign(
+                model, dataset, scenario, prefix_reuse=False, collect_outputs=collect_outputs
+            )
+            sharded = run_campaign(
+                model, dataset, scenario, workers=2, num_shards=4,
+                prefix_reuse=True, golden_cache=GoldenCache(), collect_outputs=collect_outputs,
+            )
+            assert_same_campaign(serial, sharded)
 
     def test_sharded_neuron_campaign_matches_serial(self, fitted_model_and_dataset):
         model, dataset = fitted_model_and_dataset
         scenario = default_scenario(injection_target="neurons", random_seed=8)
-        serial = CampaignRunner(model, dataset, scenario=scenario).run()
-        sharded = CampaignRunner(model, dataset, scenario=scenario, workers=2, num_shards=4).run()
-        assert serial.as_dict() == sharded.as_dict()
+        for collect_outputs in OUTPUT_MODES:
+            serial = run_campaign(model, dataset, scenario, collect_outputs=collect_outputs)
+            sharded = run_campaign(
+                model, dataset, scenario, workers=2, num_shards=4, collect_outputs=collect_outputs
+            )
+            assert_same_campaign(serial, sharded)
 
     def test_sharded_per_epoch_campaign_matches_serial(self, fitted_model_and_dataset):
         model, dataset = fitted_model_and_dataset
@@ -166,20 +157,27 @@ class TestClassificationShardEquivalence:
             num_runs=3,
             random_seed=9,
         )
-        serial = CampaignRunner(model, dataset, scenario=scenario).run()
-        # Shard boundaries intentionally cut through epochs (9 steps over 4 shards).
-        sharded = CampaignRunner(model, dataset, scenario=scenario, workers=1, num_shards=4).run()
-        assert serial.num_fault_groups == sharded.num_fault_groups == 3
-        assert serial.as_dict() == sharded.as_dict()
+        for collect_outputs in OUTPUT_MODES:
+            serial = run_campaign(model, dataset, scenario, collect_outputs=collect_outputs)
+            # Shard boundaries intentionally cut through epochs (9 steps over 4 shards).
+            sharded = run_campaign(
+                model, dataset, scenario, workers=1, num_shards=4, collect_outputs=collect_outputs
+            )
+            assert serial.state.groups == sharded.state.groups == 3
+            assert_same_campaign(serial, sharded)
 
     def test_sharded_shuffled_campaign_matches_serial(self, fitted_model_and_dataset):
         model, dataset = fitted_model_and_dataset
         scenario = default_scenario(injection_target="weights", num_runs=2, random_seed=10)
-        serial = CampaignRunner(model, dataset, scenario=scenario, dl_shuffle=True).run()
-        sharded = CampaignRunner(
-            model, dataset, scenario=scenario, dl_shuffle=True, workers=1, num_shards=3
-        ).run()
-        assert serial.as_dict() == sharded.as_dict()
+        for collect_outputs in OUTPUT_MODES:
+            serial = run_campaign(
+                model, dataset, scenario, dl_shuffle=True, collect_outputs=collect_outputs
+            )
+            sharded = run_campaign(
+                model, dataset, scenario, dl_shuffle=True, workers=1, num_shards=3,
+                collect_outputs=collect_outputs,
+            )
+            assert_same_campaign(serial, sharded)
 
     def test_weights_restored_bit_exactly_after_sharded_campaign(
         self, fitted_model_and_dataset
@@ -190,9 +188,7 @@ class TestClassificationShardEquivalence:
         # In-process shards patch the parent's model object; worker-pool shards
         # patch copies.  Both must leave the parent model bit-exact.
         for workers, num_shards in ((1, 3), (2, 2)):
-            CampaignRunner(
-                model, dataset, scenario=scenario, workers=workers, num_shards=num_shards
-            ).run()
+            run_campaign(model, dataset, scenario, workers=workers, num_shards=num_shards)
             for name, param in model.named_parameters():
                 np.testing.assert_array_equal(bits_before[name], float_to_bits(param.data))
 
@@ -203,28 +199,22 @@ class TestDetectionShardEquivalence:
     ):
         model, dataset = detection_setup
         scenario = default_scenario(
-            injection_target="weights", rnd_bit_range=(23, 30), random_seed=12
+            injection_target="weights", rnd_bit_range=(23, 30), random_seed=12, model_name="det"
         )
 
         def run(sub: str, workers: int, num_shards: int | None):
-            runner = TestErrorModels_ObjDet(
-                model=model,
-                model_name="det",
-                dataset=dataset,
-                scenario=scenario,
-                output_dir=tmp_path / sub,
-                workers=workers,
-                num_shards=num_shards,
+            return run_campaign(
+                model, dataset, scenario, task="detection", output_dir=tmp_path / sub,
+                workers=workers, num_shards=num_shards,
             )
-            return runner.test_rand_ObjDet_SBFs_inj(num_faults=1)
 
         serial = run("serial", 1, None)
         sharded = run("sharded", 3, 3)
 
         for tag in ("golden_json", "corrupted_json", "applied_faults", "ground_truth", "faults"):
             assert _file_bytes(serial.output_files[tag]) == _file_bytes(sharded.output_files[tag])
-        assert serial.corrupted.as_dict() == sharded.corrupted.as_dict()
-        assert serial.due_flags == sharded.due_flags
+        assert serial.summary["corrupted"] == sharded.summary["corrupted"]
+        assert serial.extras["due_flags"] == sharded.extras["due_flags"]
         # Per-shard record files are kept next to the merged output.
         shard_dirs = sorted((tmp_path / "sharded" / "shards").iterdir())
         assert len(shard_dirs) == 3
@@ -238,33 +228,30 @@ class TestDetectionShardEquivalence:
     def test_sharded_weight_campaign_restores_detector_bit_exactly(self, detection_setup):
         model, dataset = detection_setup
         bits_before = {n: float_to_bits(p.data).copy() for n, p in model.named_parameters()}
-        scenario = default_scenario(injection_target="weights", random_seed=13)
-        runner = TestErrorModels_ObjDet(
-            model=model, model_name="restore", dataset=dataset, scenario=scenario,
-            workers=1, num_shards=3,
+        scenario = default_scenario(
+            injection_target="weights", random_seed=13, max_faults_per_image=2
         )
-        runner.test_rand_ObjDet_SBFs_inj(num_faults=2)
+        run_campaign(model, dataset, scenario, task="detection", workers=1, num_shards=3)
         for name, param in model.named_parameters():
             np.testing.assert_array_equal(bits_before[name], float_to_bits(param.data))
 
     def test_sharded_resil_campaign_matches_serial(self, fitted_model_and_dataset, tmp_path):
         model, dataset = fitted_model_and_dataset
         hardened = model.clone()
-        scenario = default_scenario(injection_target="weights", rnd_bit_range=(30, 30), random_seed=17)
+        scenario = default_scenario(
+            injection_target="weights", rnd_bit_range=(30, 30), random_seed=17, model_name="resil"
+        )
 
         def run(sub: str, workers: int, num_shards: int | None):
-            runner = TestErrorModels_ImgClass(
-                model=model, resil_model=hardened, model_name="resil", dataset=dataset,
-                scenario=scenario, output_dir=tmp_path / sub,
+            return run_campaign(
+                model, dataset, scenario, resil_model=hardened, output_dir=tmp_path / sub,
                 workers=workers, num_shards=num_shards,
             )
-            return runner.test_rand_ImgClass_SBFs_inj(num_faults=1)
 
         serial = run("serial", 1, None)
         sharded = run("sharded", 2, 3)
-        assert serial.resil is not None and sharded.resil is not None
-        np.testing.assert_array_equal(serial.resil_logits, sharded.resil_logits)
-        assert serial.resil.as_dict() == sharded.resil.as_dict()
+        assert "resil" in serial.summary and "resil" in sharded.summary
+        assert_same_campaign(serial, sharded)
         assert _file_bytes(serial.output_files["resil_csv"]) == _file_bytes(
             sharded.output_files["resil_csv"]
         )
@@ -284,19 +271,15 @@ class TestDetectionShardEquivalence:
             num_runs=2,
             rnd_bit_range=(23, 30),
             random_seed=18,
+            model_name="epochresil",
         )
-        runner = TestErrorModels_ImgClass(
-            model=model, resil_model=hardened, model_name="epochresil",
-            dataset=dataset, scenario=scenario,
+        serial = run_campaign(model, dataset, scenario, resil_model=hardened)
+        assert "resil" in serial.summary
+        assert len(serial.extras["resil_logits"]) == 2 * len(dataset)
+        sharded = run_campaign(
+            model, dataset, scenario, resil_model=hardened, workers=1, num_shards=3
         )
-        serial = runner.test_rand_ImgClass_SBFs_inj(num_faults=1, inj_policy="per_epoch", num_runs=2)
-        assert serial.resil is not None
-        assert len(serial.resil_logits) == 2 * len(dataset)
-        sharded = TestErrorModels_ImgClass(
-            model=model, resil_model=hardened, model_name="epochresil",
-            dataset=dataset, scenario=scenario, workers=1, num_shards=3,
-        ).test_rand_ImgClass_SBFs_inj(num_faults=1, inj_policy="per_epoch", num_runs=2)
-        np.testing.assert_array_equal(serial.resil_logits, sharded.resil_logits)
+        assert_same_campaign(serial, sharded)
 
     def test_custom_stochastic_error_model_is_shard_deterministic(
         self, fitted_model_and_dataset, tmp_path
@@ -316,12 +299,11 @@ class TestDetectionShardEquivalence:
         scenario = default_scenario(injection_target="weights", random_seed=19, model_name="rngdet")
 
         def run(sub: str, num_shards: int):
-            writer = CampaignResultWriter(tmp_path / sub, campaign_name="rngdet")
-            runner = CampaignRunner(
-                model, dataset, scenario=scenario, writer=writer,
+            return run_campaign(
+                model, dataset, scenario, output_dir=tmp_path / sub,
                 error_model=DrawingErrorModel(-1, 1), workers=1, num_shards=num_shards,
+                collect_outputs=False,
             )
-            return runner.run()
 
         serial = run("serial", 1)
         sharded = run("sharded", 3)
@@ -332,19 +314,14 @@ class TestDetectionShardEquivalence:
             sharded.output_files["corrupted_csv"]
         )
 
-    def test_sharded_imgclass_facade_matches_serial(self, fitted_model_and_dataset):
+    def test_sharded_worker_pool_logits_match_serial(self, fitted_model_and_dataset):
         model, dataset = fitted_model_and_dataset
-        scenario = default_scenario(injection_target="weights", rnd_bit_range=(23, 30), random_seed=14)
-        serial = TestErrorModels_ImgClass(
-            model=model, model_name="f", dataset=dataset, scenario=scenario
-        ).test_rand_ImgClass_SBFs_inj(num_faults=1)
-        sharded = TestErrorModels_ImgClass(
-            model=model, model_name="f", dataset=dataset, scenario=scenario, workers=2, num_shards=3
-        ).test_rand_ImgClass_SBFs_inj(num_faults=1)
-        np.testing.assert_array_equal(serial.golden_logits, sharded.golden_logits)
-        np.testing.assert_array_equal(serial.corrupted_logits, sharded.corrupted_logits)
-        np.testing.assert_array_equal(serial.labels, sharded.labels)
-        assert serial.corrupted.as_dict() == sharded.corrupted.as_dict()
+        scenario = default_scenario(
+            injection_target="weights", rnd_bit_range=(23, 30), random_seed=14, model_name="f"
+        )
+        serial = run_campaign(model, dataset, scenario)
+        sharded = run_campaign(model, dataset, scenario, workers=2, num_shards=3)
+        assert_same_campaign(serial, sharded)
 
 
 class TestShardScopedIterators:

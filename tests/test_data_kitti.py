@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.alficore import TestErrorModels_ObjDet, default_scenario
+from campaign_support import run_campaign
+from repro.alficore import default_scenario
 from repro.data import KITTI_CATEGORIES, AlfiDataLoaderWrapper, KittiLikeDetectionDataset
 from repro.models.detection import yolov3_tiny
-
-TestErrorModels_ObjDet.__test__ = False
 
 
 class TestKittiLikeDataset:
@@ -79,14 +78,13 @@ class TestKittiCampaign:
     def test_detection_campaign_on_kitti_like_data(self):
         dataset = KittiLikeDetectionDataset(num_samples=4, seed=2)
         model = yolov3_tiny(num_classes=3, seed=0, image_size=(48, 96)).eval()
-        scenario = default_scenario(injection_target="weights", rnd_bit_range=(23, 30), random_seed=5)
-        runner = TestErrorModels_ObjDet(
-            model=model,
+        scenario = default_scenario(
+            injection_target="weights", rnd_bit_range=(23, 30), random_seed=5,
             model_name="yolo_kitti",
-            dataset=dataset,
-            scenario=scenario,
-            input_shape=(3, 48, 96),
         )
-        output = runner.test_rand_ObjDet_SBFs_inj(num_faults=1)
-        assert output.corrupted.num_images == 4
-        assert 0.0 <= output.corrupted.ivmod.sde_rate <= 1.0
+        result = run_campaign(
+            model, dataset, scenario, task="detection", input_shape=(3, 48, 96)
+        )
+        corrupted = result.results["corrupted"]
+        assert corrupted.num_images == 4
+        assert 0.0 <= corrupted.ivmod.sde_rate <= 1.0

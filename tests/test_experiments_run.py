@@ -1,21 +1,17 @@
 """End-to-end tests of the unified Experiment API.
 
-The acceptance bar of the redesign: a spec serialized to YAML, reloaded and
-re-run produces byte-identical campaign outputs (serial and ``workers>1``
-sharded) to the facades, the facades are deprecation shims over the same
-code path, and :class:`CampaignResult` merges ``step_range`` slices into a
-result identical to an unsliced run.
+The acceptance bar: a spec serialized to YAML, reloaded and re-run produces
+byte-identical campaign outputs, a run on pre-built objects matches one
+built from the registries, and :class:`CampaignResult` merges
+``step_range`` slices into a result identical to an unsliced run.
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.alficore import TestErrorModels_ImgClass, TestErrorModels_ObjDet
-from repro.alficore._deprecation import reset_warnings
-from repro.alficore.campaign import CampaignRunner
 from repro.alficore.scenario import default_scenario
-from repro.data import CocoLikeDetectionDataset, SyntheticClassificationDataset
+from repro.data import SyntheticClassificationDataset
 from repro.experiments import (
     Artifacts,
     BackendSpec,
@@ -26,7 +22,6 @@ from repro.experiments import (
     run,
 )
 from repro.models import build_model
-from repro.models.detection import build_detector
 from repro.models.pretrained import fit_classifier_head
 
 IMAGES = 9
@@ -74,32 +69,7 @@ def assert_files_identical(first: dict, second: dict, tags=None):
         assert a == b, f"output file {tag!r} differs"
 
 
-class TestSpecVsFacadeByteIdentity:
-    @pytest.mark.parametrize("backend_kwargs", [
-        {"name": "serial", "workers": 1},
-        {"name": "sharded", "workers": 2, "num_shards": 3},
-    ], ids=["serial", "sharded"])
-    def test_classification(self, tmp_path, backend_kwargs):
-        dataset = SyntheticClassificationDataset(
-            num_samples=IMAGES, num_classes=CLASSES, noise=0.25, seed=1
-        )
-        facade = TestErrorModels_ImgClass(
-            model=build_fitted_classifier(dataset),
-            model_name="lenet5",
-            dataset=dataset,
-            scenario=classification_scenario(),
-            output_dir=tmp_path / "facade",
-            workers=backend_kwargs.get("workers", 1),
-            num_shards=backend_kwargs.get("num_shards"),
-        )
-        facade_out = facade.test_rand_ImgClass_SBFs_inj(num_faults=1)
-
-        spec = classification_spec(tmp_path / "spec", **backend_kwargs)
-        result = run(spec)
-
-        assert_files_identical(facade_out.output_files, result.output_files)
-        assert facade_out.corrupted.as_dict() == result.summary["corrupted"]
-
+class TestSpecRoundTrip:
     def test_classification_yaml_reload_rerun(self, tmp_path):
         spec = classification_spec(tmp_path / "direct")
         direct = run(spec)
@@ -111,71 +81,10 @@ class TestSpecVsFacadeByteIdentity:
         assert_files_identical(direct.output_files, again.output_files)
         assert direct.summary == {**again.summary, "output_files": direct.summary["output_files"]}
 
-    @pytest.mark.parametrize("backend_kwargs", [
-        {"name": "serial", "workers": 1},
-        {"name": "sharded", "workers": 2, "num_shards": 2},
-    ], ids=["serial", "sharded"])
-    def test_detection(self, tmp_path, backend_kwargs):
-        dataset = CocoLikeDetectionDataset(num_samples=6, num_classes=5, seed=9)
-        facade = TestErrorModels_ObjDet(
-            model=build_detector("yolov3", num_classes=5, seed=1).eval(),
-            model_name="yolov3",
-            dataset=dataset,
-            scenario=default_scenario(
-                injection_target="weights", rnd_bit_range=(23, 30), random_seed=77,
-                model_name="yolov3", dataset_size=6,
-            ),
-            output_dir=tmp_path / "facade",
-            workers=backend_kwargs.get("workers", 1),
-            num_shards=backend_kwargs.get("num_shards"),
-        )
-        facade_out = facade.test_rand_ObjDet_SBFs_inj(num_faults=1)
 
-        spec = (
-            Experiment.builder()
-            .name("yolov3")
-            .task("detection")
-            .model("yolov3", num_classes=5, seed=1)
-            .dataset("synthetic-coco", num_samples=6, num_classes=5, seed=9)
-            .scenario(
-                injection_target="weights", rnd_bit_range=(23, 30), random_seed=77,
-                model_name="yolov3", dataset_size=6,
-            )
-            .backend(**backend_kwargs)
-            .output_dir(tmp_path / "spec")
-            .build()
-        )
-        result = run(spec)
-
-        assert_files_identical(facade_out.output_files, result.output_files)
-        assert facade_out.corrupted.as_dict() == result.summary["corrupted"]
-
-    def test_campaign_runner_streams_match_spec_run(self, tmp_path):
-        from repro.alficore.results import CampaignResultWriter
-
-        dataset = SyntheticClassificationDataset(
-            num_samples=IMAGES, num_classes=CLASSES, noise=0.25, seed=1
-        )
-        runner = CampaignRunner(
-            build_fitted_classifier(dataset),
-            dataset,
-            scenario=classification_scenario(),
-            writer=CampaignResultWriter(tmp_path / "runner", campaign_name="lenet5"),
-        )
-        summary = runner.run()
-
-        result = run(classification_spec(tmp_path / "spec"))
-        assert_files_identical(
-            summary.output_files, result.output_files,
-            tags=["golden_csv", "corrupted_csv", "applied_faults", "faults", "meta"],
-        )
-        assert summary.sde_rate == result.summary["corrupted"]["sde_rate"]
-        assert summary.num_inferences == result.summary["corrupted"]["num_inferences"]
-
-
-class TestFacadeFaultFileReplay:
-    def test_scenario_declared_fault_file_survives_default_argument(self, tmp_path):
-        """A fault_file in the facade's base scenario keeps replaying."""
+class TestScenarioFaultFileReplay:
+    def test_scenario_declared_fault_file_keeps_replaying(self, tmp_path):
+        """A fault_file declared in the scenario replays its stored matrix."""
         from repro.alficore import load_fault_file, ptfiwrap
 
         dataset = SyntheticClassificationDataset(
@@ -185,56 +94,11 @@ class TestFacadeFaultFileReplay:
         stored = tmp_path / "stored_faults.npz"
         ptfiwrap(model, scenario=classification_scenario()).save_fault_matrix(stored)
 
-        facade = TestErrorModels_ImgClass(
-            model=model,
-            model_name="lenet5",
-            dataset=dataset,
-            scenario=classification_scenario(random_seed=999, fault_file=stored),
-        )
-        facade.test_rand_ImgClass_SBFs_inj()  # no fault_file argument
-        assert facade.wrapper.get_fault_matrix() == load_fault_file(stored)
-
-
-class TestFacadeEmptyModelName:
-    def test_campaign_runner_accepts_empty_model_name(self, tmp_path):
-        from repro.alficore.results import CampaignResultWriter
-
-        dataset = SyntheticClassificationDataset(num_samples=4, num_classes=CLASSES, seed=1)
-        runner = CampaignRunner(
-            build_fitted_classifier(dataset),
-            dataset,
-            scenario=classification_scenario(model_name=""),
-            writer=CampaignResultWriter(tmp_path, campaign_name=""),
-        )
-        summary = runner.run()  # pre-redesign behavior: runs, files "_*"
-        assert summary.num_inferences == 4
-        assert (tmp_path / "_corrupted_results.csv").exists()
-
-
-class TestFacadeDeprecation:
-    def test_each_shim_warns_exactly_once(self, tmp_path):
-        dataset = SyntheticClassificationDataset(num_samples=4, num_classes=CLASSES, seed=1)
-        model = build_fitted_classifier(dataset)
-        det_dataset = CocoLikeDetectionDataset(num_samples=2, num_classes=5, seed=9)
-        detector = build_detector("yolov3", num_classes=5, seed=1).eval()
-
-        reset_warnings()
-        with pytest.warns(DeprecationWarning, match="TestErrorModels_ImgClass"):
-            TestErrorModels_ImgClass(model=model, dataset=dataset)
-        with pytest.warns(DeprecationWarning, match="TestErrorModels_ObjDet"):
-            TestErrorModels_ObjDet(model=detector, dataset=det_dataset)
-        with pytest.warns(DeprecationWarning, match="CampaignRunner"):
-            CampaignRunner(model, dataset)
-
-        # Second construction is silent: a single warning per facade.
-        import warnings as warnings_module
-
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error", DeprecationWarning)
-            TestErrorModels_ImgClass(model=model, dataset=dataset)
-            TestErrorModels_ObjDet(model=detector, dataset=det_dataset)
-            CampaignRunner(model, dataset)
-        reset_warnings()
+        spec = classification_spec(None)
+        # A different seed: the matrix must come from the file, not be redrawn.
+        spec.scenario = classification_scenario(random_seed=999, fault_file=stored)
+        result = run(spec, Artifacts(model=model, dataset=dataset))
+        assert result.wrapper.get_fault_matrix() == load_fault_file(stored)
 
 
 class TestCampaignResultHandle:
@@ -398,23 +262,6 @@ class TestArtifactsOverride:
         result = run(spec, artifacts=Artifacts(model=model, dataset=dataset))
         assert result.core.model is model
         assert result.core.dataset is dataset
-
-    def test_prebuilt_core_honors_spec_output_dir(self, tmp_path):
-        from repro.alficore.campaign import CampaignCore, ClassificationTask
-
-        dataset = SyntheticClassificationDataset(
-            num_samples=4, num_classes=CLASSES, noise=0.25, seed=1
-        )
-        core = CampaignCore(
-            build_fitted_classifier(dataset),
-            dataset,
-            ClassificationTask(collect_outputs=True),
-            scenario=classification_scenario(),
-        )
-        spec = classification_spec(tmp_path / "core_out")
-        result = run(spec, artifacts=Artifacts(core=core))
-        assert "corrupted_csv" in result.output_files
-        assert (tmp_path / "core_out" / "lenet5_corrupted_results.csv").exists()
 
     def test_registry_resolution_matches_prebuilt(self, tmp_path):
         dataset = SyntheticClassificationDataset(
