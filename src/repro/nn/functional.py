@@ -2,9 +2,14 @@
 
 All operations work on numpy arrays with the PyTorch layout conventions:
 images are ``(N, C, H, W)``, volumes are ``(N, C, D, H, W)`` and linear
-inputs are ``(N, features)``.  Convolutions use im2col + matmul which keeps
-the pure-python substrate fast enough for fault injection campaigns over
-small synthetic datasets.
+inputs are ``(N, features)``.  Convolutions unfold patches with im2col and
+run one BLAS GEMM (``np.dot``) per call, and max pooling is a running
+``np.maximum`` over strided taps; this keeps the pure-python substrate fast
+enough for fault injection campaigns.
+
+Every kernel's result bits are part of the campaign contract: executors,
+prefix reuse and sharding must reproduce them exactly (``docs/ir.md``), so
+a rewrite of a kernel here must keep its bytes, operand layouts included.
 """
 
 from __future__ import annotations
@@ -44,6 +49,18 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
+def _pad2d(x: np.ndarray, ph: int, pw: int, fill: float) -> np.ndarray:
+    """Constant-pad the two trailing axes of ``(N, C, H, W)`` by ``(ph, pw)``.
+
+    A filled buffer plus one slice assignment: the same bytes as
+    ``np.pad(..., constant_values=fill)`` without its per-call overhead.
+    """
+    n, c, h, w = x.shape
+    padded = np.full((n, c, h + 2 * ph, w + 2 * pw), fill, dtype=x.dtype)
+    padded[:, :, ph : ph + h, pw : pw + w] = x
+    return padded
+
+
 def im2col(
     images: np.ndarray,
     kernel_size: tuple[int, int],
@@ -70,7 +87,7 @@ def im2col(
     out_w = conv_output_size(w, kw, sw, pw)
 
     if ph or pw:
-        images = np.pad(images, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant")
+        images = _pad2d(images, ph, pw, 0.0)
 
     # Strided view over all (kh, kw) patches.
     stride_n, stride_c, stride_h, stride_w = images.strides
@@ -135,16 +152,31 @@ def conv2d(
         output = np.concatenate(group_outputs, axis=1)
         if bias is not None:
             output += np.asarray(bias, dtype=np.float32).reshape(1, -1, 1, 1)
-        return output.astype(np.float32)
+        return output
 
+    n = x.shape[0]
     out_channels, _, kh, kw = weight.shape
     columns, out_h, out_w = im2col(x, (kh, kw), _pair(stride), _pair(padding))
+    features, positions = columns.shape[1], columns.shape[2]
     kernel_matrix = weight.reshape(out_channels, -1)
-    output = np.einsum("of,nfp->nop", kernel_matrix, columns, optimize=True)
-    output = output.reshape(x.shape[0], out_channels, out_h, out_w)
+    if features == 1:
+        # A contraction of size 1 is no GEMM: einsum multiplies elementwise
+        # with its own signed-zero handling, which differs between numpy
+        # releases, so only einsum itself reproduces it.
+        output = np.einsum("of,nfp->nop", kernel_matrix, columns, optimize=True)
+    else:
+        # The single GEMM einsum("of,nfp->nop") performs, called directly.
+        # The operand layouts pick the BLAS kernel and so the result bits:
+        # the left operand is F-ordered when n == 1 and a C-order copy when
+        # n > 1, the layouts einsum hands to BLAS.
+        output = np.dot(columns.transpose(0, 2, 1).reshape(n * positions, features),
+                        kernel_matrix.T)
+        # A view of the GEMM result, channels fastest in memory (docs/ir.md).
+        output = output.reshape(n, positions, out_channels).transpose(0, 2, 1)
+    output = output.reshape(n, out_channels, out_h, out_w)
     if bias is not None:
         output += np.asarray(bias, dtype=np.float32).reshape(1, -1, 1, 1)
-    return output.astype(np.float32)
+    return output
 
 
 def conv3d(
@@ -287,18 +319,19 @@ def avg_pool2d(
 
 
 def _pool2d(x, kernel_size, stride, padding, mode: str) -> np.ndarray:
-    """Vectorized pooling over all windows via ``sliding_window_view``.
+    """Vectorized pooling; :func:`_pool2d_reference` is its oracle.
 
-    ``sliding_window_view`` materialises a bounds-checked view over every
-    ``(kh, kw)`` window; striding is a cheap slice of that view, and the
-    max/mean reduction runs once over the whole window volume instead of a
-    python loop per output position.  :func:`_pool2d_reference` keeps the
-    naive window loop as the correctness oracle (asserted equal in tests).
+    ``mode="max"`` is a running ``np.maximum`` over the ``kh * kw`` strided
+    taps ``x[:, :, i::sh, j::sw]``, taken in row-major window order: one
+    elementwise pass per tap, whose result does not depend on the input's
+    memory layout.  A NaN anywhere in a window propagates, with the bits of
+    the first NaN tap.
 
-    The input is made contiguous first so the windowed reduction order — and
-    with it the result bits — do not depend on the input's memory layout.
+    ``mode="avg"`` reduces ``sliding_window_view(...).mean`` over each
+    window.  Its summation order defines its bits, so the input is made
+    contiguous first and the result does not depend on the input's layout.
     """
-    x = np.ascontiguousarray(x, dtype=np.float32)
+    x = np.asarray(x, dtype=np.float32)
     if x.ndim != 4:
         raise ValueError(f"pooling expects 4D input, got shape {x.shape}")
     kh, kw = _pair(kernel_size)
@@ -307,14 +340,23 @@ def _pool2d(x, kernel_size, stride, padding, mode: str) -> np.ndarray:
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kh, sh, ph)
     out_w = conv_output_size(w, kw, sw, pw)
+    if mode == "max":
+        if ph or pw:
+            x = _pad2d(x, ph, pw, -np.inf)
+        span_h, span_w = sh * (out_h - 1) + 1, sw * (out_w - 1) + 1
+        taps = [
+            x[:, :, i : i + span_h : sh, j : j + span_w : sw] for i in range(kh) for j in range(kw)
+        ]
+        output = taps[0].copy()
+        for tap in taps[1:]:
+            np.maximum(output, tap, out=output)
+        return output
+    x = np.ascontiguousarray(x)
     if ph or pw:
-        fill = -np.inf if mode == "max" else 0.0
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=fill)
+        x = _pad2d(x, ph, pw, 0.0)
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
     windows = windows[:, :, ::sh, ::sw]
     assert windows.shape[2] == out_h and windows.shape[3] == out_w
-    if mode == "max":
-        return windows.max(axis=(4, 5)).astype(np.float32)
     return windows.mean(axis=(4, 5)).astype(np.float32)
 
 

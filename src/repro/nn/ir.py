@@ -99,9 +99,9 @@ def _bias_add(module: Module, x):
 
 # Split kernels: a Conv2d/Linear segment lowers to a weight op plus a
 # separate bias_add so the bias participates in elementwise fusion.  The
-# split is bit-identical to the module forward because the trailing
-# float32->float32 astype in F.conv2d/F.linear preserves bits and the
-# float32 add commutes with it.
+# split is bit-identical to the module forward because the module forward
+# adds the bias to the same weight-op result with the same float32 add
+# (the float32->float32 astype in F.linear preserves bits).
 _KERNELS = {
     "conv2d": lambda m, x: F.conv2d(x, m.weight.data, None, m.stride, m.padding, m.groups),
     "matmul": lambda m, x: F.linear(x, m.weight.data, None),
