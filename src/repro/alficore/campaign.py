@@ -40,7 +40,7 @@ import shutil
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -526,8 +526,6 @@ class CampaignCore:
             the applied-fault log are streamed as they are produced.
         error_model: overrides the error model derived from the scenario.
         input_shape: per-sample input shape used for model profiling.
-        custom_monitors: extra monitoring callbacks attached alongside the
-            NaN/Inf monitor.
         dl_shuffle: shuffle the dataset between epochs (seeded).
         resil_model: optional hardened variant evaluated under the same
             faults (its own fault-free pass is the resil baseline).
@@ -543,10 +541,6 @@ class CampaignCore:
             (and resil-golden) passes are computed once per batch of images
             instead of once per epoch, and their boundary checkpoints are
             reused by later epochs' suffix-only faulty lanes.
-        executor: forward-plan execution backend (``"module"``,
-            ``"interpreter"``, ``"fused"``, or any name registered via
-            :func:`repro.nn.ir.register_executor`).  Validated bit-exactly at
-            trace time with silent fallback to the module path.
     """
 
     def __init__(
@@ -558,14 +552,12 @@ class CampaignCore:
         writer: CampaignResultWriter | None = None,
         error_model: ErrorModel | None = None,
         input_shape: tuple[int, ...] = (3, 32, 32),
-        custom_monitors: list[Callable] | None = None,
         dl_shuffle: bool = False,
         resil_model: Module | None = None,
         wrapper: ptfiwrap | None = None,
         resil_wrapper: ptfiwrap | None = None,
         prefix_reuse: bool = True,
         golden_cache: GoldenCache | None = None,
-        executor: str = "interpreter",
     ):
         if dataset is None or len(dataset) == 0:
             raise ValueError("a non-empty dataset is required to run a campaign")
@@ -575,7 +567,6 @@ class CampaignCore:
         self.scenario = normalize_campaign_scenario(scenario, dataset)
         self.writer = writer
         self.input_shape = tuple(input_shape)
-        self.custom_monitors = list(custom_monitors or [])
         self.dl_shuffle = dl_shuffle
         self._error_model = error_model
         self.wrapper = (
@@ -592,12 +583,8 @@ class CampaignCore:
                 fault_matrix=self.wrapper.get_fault_matrix(),
             )
         self.resil_wrapper = resil_wrapper
-        self._monitors = MonitorCache(self.custom_monitors)
+        self._monitors = MonitorCache()
         self.prefix_reuse = prefix_reuse
-        # Plan execution backend (repro.nn.ir registry).  Trace-time
-        # validation falls back to the module path on any bitwise mismatch,
-        # so an exotic executor name can never change campaign results.
-        self.executor = executor
         if (
             golden_cache is not None
             and self.scenario.num_runs <= 1
@@ -731,7 +718,7 @@ class CampaignCore:
         key = id(model)
         if key not in self._plans:
             try:
-                plan = ForwardPlan.trace(model, images, executor=self.executor)
+                plan = ForwardPlan.trace(model, images)
             except Exception:
                 plan = None
             self._plans[key] = plan if plan is not None and plan.valid else None
@@ -1028,7 +1015,6 @@ class _ShardJob:
     prefix_reuse: bool = True
     cache_budget: int | None = None
     cache_spill_dir: str | None = None
-    executor: str = "interpreter"
 
 
 def _execute_shard(job: _ShardJob) -> tuple[int, object, dict[str, str]]:
@@ -1065,7 +1051,6 @@ def _execute_shard(job: _ShardJob) -> tuple[int, object, dict[str, str]]:
         wrapper=wrapper,
         prefix_reuse=job.prefix_reuse,
         golden_cache=golden_cache,
-        executor=job.executor,
     )
     stream_paths = core.run(start=job.start, stop=job.stop)
     return job.index, task.state, stream_paths
@@ -1219,7 +1204,6 @@ class ShardedCampaignExecutor:
                     prefix_reuse=core.prefix_reuse,
                     cache_budget=cache_budget,
                     cache_spill_dir=cache_spill_dir,
-                    executor=core.executor,
                 )
             )
 

@@ -153,11 +153,6 @@ class InferenceMonitor:
                         self._current.custom_events.append(dict(event))
             return None
 
-        # Plan executors (repro.nn.ir.module_blocked) may bypass a module
-        # call only while every forward hook is transparent.  A disabled
-        # monitor hook reads nothing and never alters the output, so fused
-        # execution stays legal outside monitored passes.
-        hook.plan_transparent = lambda: not self.enabled
         return hook
 
     def __enter__(self) -> "InferenceMonitor":
@@ -179,8 +174,7 @@ class MonitorCache:
     detaches everything at campaign teardown.
     """
 
-    def __init__(self, custom_monitors: list[CustomMonitor] | None = None):
-        self.custom_monitors = list(custom_monitors or [])
+    def __init__(self) -> None:
         self._monitors: dict[int, InferenceMonitor] = {}
 
     def monitor_for(self, model: Module) -> InferenceMonitor:
@@ -188,7 +182,7 @@ class MonitorCache:
         key = id(model)
         monitor = self._monitors.get(key)
         if monitor is None:
-            monitor = InferenceMonitor(model, custom_monitors=self.custom_monitors)
+            monitor = InferenceMonitor(model)
             monitor.attach()
             # Disabled outside the faulty inference: for weight campaigns the
             # monitored model is also the golden model, and the golden pass

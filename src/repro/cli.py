@@ -48,7 +48,6 @@ from repro.experiments import (
     TASKS,
     run,
 )
-from repro.nn.ir import executor_names
 from repro.visualization import comparison_table, sde_per_bit_chart, sde_per_layer_chart
 
 
@@ -87,12 +86,6 @@ def _add_common_campaign_arguments(parser: argparse.ArgumentParser) -> None:
         "--no-prefix-reuse", action="store_true",
         help="escape hatch: run the faulty lane as a full forward instead of a "
         "suffix-only forward from the first faulted layer",
-    )
-    parser.add_argument(
-        "--executor", choices=executor_names(), default="interpreter",
-        help="forward-plan execution backend; 'fused' collapses elementwise/conv+act "
-        "runs into single kernels with planned buffer reuse (always validated "
-        "bit-exactly against the module path at trace time)",
     )
     parser.add_argument(
         "--golden-cache", type=int, default=256, metavar="MB",
@@ -175,7 +168,6 @@ def _spec_from_args(args: argparse.Namespace, task: str, dataset: ComponentSpec)
             retries=args.retries,
             shard_timeout=args.shard_timeout,
             resume=args.resume,
-            executor=args.executor,
         ),
         output_dir=args.output_dir,
     )
@@ -234,8 +226,6 @@ def _cmd_run_spec(args: argparse.Namespace) -> int:
         spec.execution.retries = args.retries
     if args.shard_timeout is not None:
         spec.execution.shard_timeout = args.shard_timeout
-    if args.executor is not None:
-        spec.execution.executor = args.executor
     if args.resume:
         spec.execution.resume = True
         if spec.backend.name == "serial":
@@ -418,10 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument(
         "--resume", action="store_true",
         help="resume an interrupted campaign from its run manifest",
-    )
-    run_cmd.add_argument(
-        "--executor", choices=executor_names(), default=None,
-        help="override the spec's forward-plan execution backend",
     )
     run_cmd.set_defaults(handler=_cmd_run_spec)
 

@@ -32,8 +32,6 @@ API_MODULES: tuple[str, ...] = (
     "repro.experiments.campaigns.store",
     "repro.nn",
     "repro.nn.forward_plan",
-    "repro.nn.ir",
-    "repro.nn.fuse",
     "repro.nn.functional",
     "repro.alficore.campaign",
     "repro.alficore.wrapper",
@@ -60,8 +58,6 @@ COVERAGE_MODULES: tuple[str, ...] = (
     "repro.experiments.sweep",
     "repro.experiments.campaigns.store",
     "repro.nn.forward_plan",
-    "repro.nn.ir",
-    "repro.nn.fuse",
     "repro.alficore.resilience",
     "repro.alficore.digests",
     "repro.alficore.goldencache",

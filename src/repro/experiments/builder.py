@@ -30,6 +30,7 @@ from repro.experiments.spec import (
     ExecutionSpec,
     ExperimentSpec,
     SweepSpec,
+    _bool_field,
 )
 
 
@@ -88,7 +89,10 @@ class ExperimentBuilder:
 
     def caching(self, golden_cache_mb: int = 0, prefix_reuse: bool = True) -> "ExperimentBuilder":
         """Golden-cache budget (MiB) and prefix-reuse toggle."""
-        self._spec.caching = CachingSpec(int(golden_cache_mb), bool(prefix_reuse))
+        self._spec.caching = CachingSpec(
+            int(golden_cache_mb),
+            _bool_field(prefix_reuse, "caching.prefix_reuse", default=True),
+        )
         return self
 
     def execution(
@@ -97,20 +101,13 @@ class ExperimentBuilder:
         shard_timeout: float | None = None,
         backoff: float = 0.5,
         resume: bool = False,
-        executor: str = "interpreter",
     ) -> "ExperimentBuilder":
-        """Execution knobs: fault tolerance (retry/timeout/resume) + executor.
-
-        ``executor`` selects the forward-plan execution backend
-        (``"interpreter"`` by default; ``"fused"`` enables op fusion with
-        planned buffer reuse, see :mod:`repro.nn.fuse`).
-        """
+        """Execution knobs: fault tolerance (retry/timeout/resume)."""
         self._spec.execution = ExecutionSpec(
             int(retries),
             float(shard_timeout) if shard_timeout is not None else None,
             float(backoff),
-            bool(resume),
-            str(executor),
+            _bool_field(resume, "execution.resume", default=False),
         )
         return self
 
@@ -142,7 +139,7 @@ class ExperimentBuilder:
 
     def shuffle(self, dl_shuffle: bool = True) -> "ExperimentBuilder":
         """Toggle dataloader shuffling."""
-        self._spec.dl_shuffle = bool(dl_shuffle)
+        self._spec.dl_shuffle = _bool_field(dl_shuffle, "dl_shuffle", default=True)
         return self
 
     def output_dir(self, path: str | Path | None) -> "ExperimentBuilder":

@@ -5,23 +5,22 @@ central registries, assembles the task-pluggable
 :class:`~repro.alficore.campaign.CampaignCore`, hands it to the selected
 execution backend and returns a structured :class:`CampaignResult`.
 
-Pre-built in-memory objects (a fitted model, a custom dataset, an existing
-``ptfiwrap``, a result writer, a golden cache) can be supplied via
-:class:`Artifacts`; anything not supplied is built from the spec.  Either
-way the campaign takes the same code path, so a run on pre-built objects
-writes the same bytes as one that builds them from the registries.
+Pre-built in-memory objects (a fitted model, a custom dataset, an error
+model, a golden cache) can be supplied via :class:`Artifacts`; anything not
+supplied is built from the spec.  Either way the campaign takes the same
+code path, so a run on pre-built objects writes the same bytes as one that
+builds them from the registries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from repro.alficore.campaign import CampaignCore, normalize_campaign_scenario
 from repro.alficore.goldencache import GoldenCache
 from repro.alficore.results import CampaignResultWriter
-from repro.alficore.wrapper import ptfiwrap
 from repro.experiments.registry import BACKENDS, DATASETS, ERROR_MODELS, TASKS
 from repro.experiments.result import CampaignResult
 from repro.experiments.spec import ExperimentSpec, SpecError
@@ -34,10 +33,7 @@ class Artifacts:
     model: object | None = None
     resil_model: object | None = None
     dataset: object | None = None
-    wrapper: ptfiwrap | None = None
-    writer: CampaignResultWriter | None = None
     error_model: object | None = None
-    custom_monitors: list[Callable] | None = None
     golden_cache: GoldenCache | None = None
     num_classes: int | None = None
 
@@ -59,12 +55,11 @@ def _build_core(spec: ExperimentSpec, plugin: Any, artifacts: Artifacts) -> Camp
     if error_model is None:
         error_model = ERROR_MODELS.get(scenario.rnd_value_type)(scenario)
     input_shape = spec.input_shape if spec.input_shape is not None else plugin.default_input_shape
-    wrapper = artifacts.wrapper
-    if wrapper is None:
-        wrapper = ptfiwrap(model, scenario=scenario, input_shape=input_shape)
-    writer = artifacts.writer
-    if writer is None and spec.output_dir is not None:
-        writer = CampaignResultWriter(Path(spec.output_dir), campaign_name=scenario.model_name)
+    writer = (
+        CampaignResultWriter(Path(spec.output_dir), campaign_name=scenario.model_name)
+        if spec.output_dir is not None
+        else None
+    )
     golden_cache = artifacts.golden_cache
     if golden_cache is None and spec.caching.golden_cache_mb > 0:
         golden_cache = GoldenCache(byte_budget=spec.caching.golden_cache_mb * 2**20)
@@ -76,13 +71,10 @@ def _build_core(spec: ExperimentSpec, plugin: Any, artifacts: Artifacts) -> Camp
         writer=writer,
         error_model=error_model,
         input_shape=input_shape,
-        custom_monitors=artifacts.custom_monitors,
         dl_shuffle=spec.dl_shuffle,
         resil_model=resil_model,
-        wrapper=wrapper,
         prefix_reuse=spec.caching.prefix_reuse,
         golden_cache=golden_cache,
-        executor=spec.execution.executor,
     )
 
 

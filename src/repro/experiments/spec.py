@@ -87,6 +87,16 @@ def _int_field(value: object, where: str) -> int:
     raise SpecError(f"{where} must be an integer, got {value!r}")
 
 
+def _bool_field(value: object, where: str, default: bool) -> bool:
+    # Explicit nulls mean "default"; anything but a real bool is an error
+    # (``bool("false")`` would silently read as True).
+    if value is None:
+        return default
+    if not isinstance(value, bool):
+        raise SpecError(f"{where} must be a boolean, got {value!r}")
+    return value
+
+
 @dataclass
 class ComponentSpec:
     """A registry reference: component ``name`` plus factory ``params``."""
@@ -215,7 +225,7 @@ class CachingSpec:
                 golden_cache_mb if golden_cache_mb is not None else 0,
                 "caching.golden_cache_mb",
             ),
-            prefix_reuse=True if prefix_reuse is None else bool(prefix_reuse),
+            prefix_reuse=_bool_field(prefix_reuse, "caching.prefix_reuse", default=True),
         )
 
     def validate(self) -> None:
@@ -238,18 +248,13 @@ class ExecutionSpec:
     extra attempts per failed shard, an optional per-shard wall-clock
     ``shard_timeout`` (seconds), the base ``backoff`` of the capped
     exponential re-queue delay, and ``resume`` to skip shards the run
-    manifest records as completed.  ``executor`` selects the forward-plan
-    execution backend (:func:`repro.nn.ir.register_executor` registry:
-    ``"module"``, ``"interpreter"``, ``"fused"``); it is validated bit-exactly
-    at plan-trace time with silent fallback to the module path, so the knob
-    can change speed but never results.
+    manifest records as completed.
     """
 
     retries: int = 2
     shard_timeout: float | None = None
     backoff: float = 0.5
     resume: bool = False
-    executor: str = "interpreter"
 
     def as_dict(self) -> dict:
         """Plain-dict form (inverse of :meth:`from_dict`)."""
@@ -258,7 +263,6 @@ class ExecutionSpec:
             "shard_timeout": self.shard_timeout,
             "backoff": self.backoff,
             "resume": self.resume,
-            "executor": self.executor,
         }
 
     @classmethod
@@ -266,13 +270,10 @@ class ExecutionSpec:
         """Parse from a plain mapping, rejecting unknown keys and bad types."""
         if not isinstance(data, dict):
             raise SpecError(f"execution must be a mapping, got {type(data).__name__}")
-        _reject_unknown(
-            data, {"retries", "shard_timeout", "backoff", "resume", "executor"}, "execution"
-        )
+        _reject_unknown(data, {"retries", "shard_timeout", "backoff", "resume"}, "execution")
         retries = data.get("retries")
         backoff = data.get("backoff")
         shard_timeout = data.get("shard_timeout")
-        executor = data.get("executor")
         return cls(
             # Explicit nulls mean "default", like everywhere else in the schema.
             retries=_int_field(retries if retries is not None else 2, "execution.retries"),
@@ -282,8 +283,7 @@ class ExecutionSpec:
                 else None
             ),
             backoff=_float_field(backoff if backoff is not None else 0.5, "execution.backoff"),
-            resume=bool(data.get("resume", False)),
-            executor=str(executor) if executor is not None else "interpreter",
+            resume=_bool_field(data.get("resume"), "execution.resume", default=False),
         )
 
     def validate(self) -> None:
@@ -296,13 +296,6 @@ class ExecutionSpec:
             )
         if self.backoff < 0:
             raise SpecError(f"execution.backoff must be >= 0, got {self.backoff}")
-        from repro.nn.ir import executor_names
-
-        known = executor_names()
-        if self.executor not in known:
-            raise SpecError(
-                f"execution.executor must be one of {known}, got {self.executor!r}"
-            )
 
 
 SWEEP_SCHEMA_VERSION = 1
@@ -649,7 +642,7 @@ class ExperimentSpec:
                 else None
             ),
             input_shape=input_shape,
-            dl_shuffle=bool(data.get("dl_shuffle", False)),
+            dl_shuffle=_bool_field(data.get("dl_shuffle"), "dl_shuffle", default=False),
             output_dir=Path(output_dir) if output_dir else None,
             task_options=dict(task_options),
         )

@@ -39,7 +39,7 @@ from repro.experiments.campaigns.store import (
 )
 from repro.experiments.result import CampaignResult
 from repro.experiments.runner import Artifacts, run
-from repro.experiments.spec import ComponentSpec, ExperimentSpec, SpecError
+from repro.experiments.spec import ComponentSpec, ExperimentSpec, SpecError, _bool_field
 
 TABLE_SCHEMA_VERSION = 1
 
@@ -150,7 +150,7 @@ def _apply_axis(spec: ExperimentSpec, path: str, value: Any) -> None:
     elif root == "input_shape":
         spec.input_shape = tuple(int(v) for v in value) if value is not None else None
     elif root == "dl_shuffle":
-        spec.dl_shuffle = bool(value)
+        spec.dl_shuffle = _bool_field(value, "sweep axis dl_shuffle", default=False)
     elif root in ("model", "dataset") and parts[1] == "name":
         getattr(spec, root).name = str(value)
     elif root in ("model", "dataset"):  # <root>.params.<key>

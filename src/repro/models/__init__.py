@@ -33,10 +33,8 @@ from repro.models.classification import (
     vgg16,
 )
 from repro.models.compact import (
-    ElemNet,
     MobileNetLite,
     SqueezeNetLite,
-    elemnet,
     mobilenet_lite,
     squeezenet_lite,
 )
@@ -44,7 +42,6 @@ from repro.models.compact import (
 __all__ = [
     "MODEL_REGISTRY",
     "AlexNet",
-    "ElemNet",
     "LeNet5",
     "MLP",
     "MobileNetLite",
@@ -53,7 +50,6 @@ __all__ = [
     "VGG",
     "alexnet",
     "build_model",
-    "elemnet",
     "lenet5",
     "mlp",
     "mobilenet_lite",

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from repro import nn
-from repro.models.compact import elemnet, mobilenet_lite, squeezenet_lite
+from repro.models.compact import mobilenet_lite, squeezenet_lite
 from repro.nn import init
 from repro.nn.module import Module
 
@@ -346,7 +346,6 @@ MODEL_REGISTRY: dict[str, Callable[..., Module]] = {
     "resnet50": resnet50,
     "mobilenet": mobilenet_lite,
     "squeezenet": squeezenet_lite,
-    "elemnet": elemnet,
 }
 
 

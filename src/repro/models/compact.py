@@ -167,71 +167,3 @@ def mobilenet_lite(num_classes: int = 10, width: float = 0.5, seed: int = 0) -> 
 def squeezenet_lite(num_classes: int = 10, width: float = 0.5, seed: int = 0) -> SqueezeNetLite:
     """SqueezeNet-style classifier with fire modules and a conv classifier."""
     return SqueezeNetLite(num_classes=num_classes, width=width, seed=seed)
-
-
-class ElemwiseTower(Module):
-    """A stack of ``depth`` BatchNorm2d/ReLU pairs at constant width.
-
-    Each pair is two full elementwise passes over the activation tensor, so a
-    tower of depth ``d`` issues ``2 * d`` adjacent elementwise segments — the
-    exact shape the fused executor collapses into a single in-place chain
-    (see :mod:`repro.nn.fuse`).
-    """
-
-    def __init__(self, channels: int, depth: int):
-        super().__init__()
-        layers = []
-        for _ in range(depth):
-            layers.append(nn.BatchNorm2d(channels))
-            layers.append(nn.ReLU())
-        self.tower = nn.Sequential(*layers)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.tower(x)
-
-
-class ElemNet(Module):
-    """Elementwise-heavy classifier used by the fused-executor benchmarks.
-
-    The architecture is deliberately dominated by elementwise work: a cheap
-    stem convolution feeds long BatchNorm/ReLU towers, punctuated by 1x1
-    mixing convolutions (with bias + activation, the conv+bias+relu fusion
-    pattern) and a single Tanh.  On the interpreter executor every one of
-    those ops allocates a fresh output array; the fused executor runs each
-    tower in place inside one arena slot, so this model bounds the fusion
-    speedup from above while remaining a legal fault-injection target (its
-    convolutions are ordinary :class:`~repro.nn.Conv2d` modules).
-    """
-
-    def __init__(self, num_classes: int = 10, width: float = 1.0, depth: int = 6, seed: int = 0):
-        super().__init__()
-        rng = init.make_rng(seed)
-        c = _scaled(48, width)
-        self.stem = nn.Sequential(
-            nn.Conv2d(3, c, 3, stride=1, padding=1, rng=rng),
-            nn.ReLU(),
-        )
-        self.tower1 = ElemwiseTower(c, depth)
-        self.mix1 = nn.Sequential(nn.Conv2d(c, c, 1, rng=rng), nn.ReLU())
-        self.tower2 = ElemwiseTower(c, depth)
-        self.squash = nn.Tanh()
-        self.pool = nn.MaxPool2d(2)
-        self.mix2 = nn.Sequential(nn.Conv2d(c, c, 1, rng=rng), nn.ReLU())
-        self.tower3 = ElemwiseTower(c, depth)
-        self.avgpool = nn.AdaptiveAvgPool2d(1)
-        self.flatten = nn.Flatten()
-        self.classifier = nn.Linear(c, num_classes, rng=rng)
-        self.num_classes = num_classes
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = self.stem(x)
-        x = self.mix1(self.tower1(x))
-        x = self.squash(self.tower2(x))
-        x = self.mix2(self.pool(x))
-        x = self.tower3(x)
-        return self.classifier(self.flatten(self.avgpool(x)))
-
-
-def elemnet(num_classes: int = 10, width: float = 1.0, depth: int = 6, seed: int = 0) -> ElemNet:
-    """Elementwise-heavy classifier stressing the fused executor's op chains."""
-    return ElemNet(num_classes=num_classes, width=width, depth=depth, seed=seed)

@@ -14,7 +14,7 @@ subset of the PyTorch module contract that PyTorchFI / PyTorchALFI rely on:
   so every model in the zoo is deterministic.
 """
 
-from repro.nn import functional, fuse, init, ir
+from repro.nn import functional, init
 from repro.nn.containers import ModuleList, Sequential
 from repro.nn.layers import (
     AdaptiveAvgPool2d,
@@ -35,7 +35,6 @@ from repro.nn.layers import (
     Upsample,
 )
 from repro.nn.forward_plan import ActivationArena, ForwardPlan
-from repro.nn.ir import executor_names, make_executor, register_executor
 from repro.nn.module import Module, Parameter, RemovableHandle
 
 __all__ = [
@@ -62,11 +61,6 @@ __all__ = [
     "Softmax",
     "Tanh",
     "Upsample",
-    "executor_names",
     "functional",
-    "fuse",
     "init",
-    "ir",
-    "make_executor",
-    "register_executor",
 ]

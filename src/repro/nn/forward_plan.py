@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.nn.ir import make_executor
 from repro.nn.module import Module
 
 
@@ -127,67 +126,47 @@ class ForwardPlan:
         segments: list[Module],
         segment_names: list[str],
         valid: bool,
-        executor: str = "module",
     ):
         self.model = model
         self.segments = segments
         self.segment_names = segment_names
         self.valid = valid
         self._by_name = {name: index for index, name in enumerate(segment_names)}
-        # Pluggable execution backend (see repro.nn.ir).  The constructor
-        # trusts the name; trace() validates non-default executors bitwise
-        # against the traced output before handing out the plan.
-        self.executor_name = executor
-        self._executor = make_executor(executor, self)
 
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
     @classmethod
-    def trace(
-        cls, model: Module, example_input: np.ndarray, executor: str = "module"
-    ) -> "ForwardPlan":
+    def trace(cls, model: Module, example_input: np.ndarray) -> "ForwardPlan":
         """Trace one forward pass of ``model`` and build its plan.
 
         The instrumented pass runs with whatever hooks are currently
         registered (inactive injection hooks are no-ops), so it must be
-        called outside any active fault group.
+        called outside any active fault group.  Every segment of the plan
+        runs as an ordinary module call, so hooks fire exactly as in an
+        unplanned forward.
 
         Args:
             model: the model to plan.
-            example_input: one representative input batch.
-            executor: execution backend name (see
-                :func:`repro.nn.ir.register_executor`).  A non-default
-                executor is validated by replaying the traced input and
-                comparing the output bit-exactly; on any mismatch or error
-                the plan silently falls back to the ``"module"`` executor,
-                so a requested executor never changes results.
+            example_input: one representative input batch; the plan is
+                replayed on it and must reproduce the traced output bit
+                for bit, or the degenerate single-segment plan is returned.
         """
         root_call, output = cls._record_trace(model, example_input)
         calls = cls._linearize(root_call)
         names = {id(module): name for name, module in model.named_modules()}
         segments = [call.module for call in calls]
         segment_names = [names.get(id(module), "") for module in segments]
-        valid = len(segments) > 1
-        if valid:
+        if len(segments) > 1:
             plan = cls(model, segments, segment_names, valid=True)
             try:
                 replayed = plan.resume(0, example_input)
             except Exception:
-                valid = False
-            else:
-                valid = _bitwise_equal(replayed, output)
-        if not valid:
-            # Degenerate single-segment plan: resume(0) is a full forward.
-            return cls(model, [model], [names.get(id(model), "")], valid=False)
-        if executor != "module":
-            try:
-                candidate = cls(model, segments, segment_names, valid=True, executor=executor)
-                if _bitwise_equal(candidate.resume(0, example_input), output):
-                    return candidate
-            except Exception:
-                pass
-        return cls(model, segments, segment_names, valid=True)
+                replayed = None
+            if replayed is not None and _bitwise_equal(replayed, output):
+                return plan
+        # Degenerate single-segment plan: resume(0) is a full forward.
+        return cls(model, [model], [names.get(id(model), "")], valid=False)
 
     @staticmethod
     def _record_trace(model: Module, example_input) -> tuple[_TraceCall, object]:
@@ -290,13 +269,19 @@ class ForwardPlan:
         """
         if not 0 <= start <= len(self.segments):
             raise IndexError(f"resume index {start} outside plan of {len(self.segments)} segments")
-        return self._executor.run_range(start, len(self.segments), activation)
+        value = activation
+        for segment in self.segments[start:]:
+            value = segment(value)
+        return value
 
     def run_prefix(self, x, stop: int):
         """Execute segments ``[0, stop)`` and return the boundary value ``a_stop``."""
         if not 0 <= stop <= len(self.segments):
             raise IndexError(f"prefix stop {stop} outside plan of {len(self.segments)} segments")
-        return self._executor.run_range(0, stop, x)
+        value = x
+        for segment in self.segments[:stop]:
+            value = segment(value)
+        return value
 
     def run_recording(
         self,
@@ -329,14 +314,14 @@ class ForwardPlan:
         checkpoints: dict[int, object] = {}
         marks: list[tuple[int, int, int]] | None = [] if monitor is not None else None
         value = x
-        for index in range(len(self.segments)):
+        for index, segment in enumerate(self.segments):
             if index > 0 and (wanted is None or index in wanted):
                 checkpoints[index] = (
                     arena.store(index, value) if arena is not None else _snapshot(value)
                 )
             if marks is not None:
                 marks.append(monitor.event_counts())
-            value = self._executor.run_segment(index, value)
+            value = segment(value)
         if marks is not None:
             marks.append(monitor.event_counts())
         return value, checkpoints, marks

@@ -7,9 +7,10 @@ run one BLAS GEMM (``np.dot``) per call, and max pooling is a running
 ``np.maximum`` over strided taps; this keeps the pure-python substrate fast
 enough for fault injection campaigns.
 
-Every kernel's result bits are part of the campaign contract: executors,
-prefix reuse and sharding must reproduce them exactly (``docs/ir.md``), so
-a rewrite of a kernel here must keep its bytes, operand layouts included.
+Every kernel's result bits are part of the campaign contract: prefix reuse,
+the golden cache and sharding must reproduce them exactly
+(``docs/forward-plans.md``), so a rewrite of a kernel here must keep its
+bytes, operand layouts included.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def conv2d(
         # n > 1, the layouts einsum hands to BLAS.
         output = np.dot(columns.transpose(0, 2, 1).reshape(n * positions, features),
                         kernel_matrix.T)
-        # A view of the GEMM result, channels fastest in memory (docs/ir.md).
+        # A view of the GEMM result, channels fastest in memory (docs/forward-plans.md).
         output = output.reshape(n, positions, out_channels).transpose(0, 2, 1)
     output = output.reshape(n, out_channels, out_h, out_w)
     if bias is not None:
@@ -280,7 +281,7 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
     The input is made contiguous first: numpy reductions block by memory
     layout, so canonicalising keeps the result independent of the input's
-    strides (required for executor bit-exactness, see ``docs/ir.md``).
+    strides (see ``docs/forward-plans.md``).
     """
     x = np.ascontiguousarray(x, dtype=np.float32)
     shifted = x - np.max(x, axis=axis, keepdims=True)

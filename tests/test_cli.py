@@ -185,22 +185,7 @@ class TestSpecCommands:
         assert first == second
 
 
-class TestExecutorFlag:
-    def test_executor_flag_parses_with_registry_choices(self):
-        for command in ("run-imgclass", "run-objdet"):
-            args = build_parser().parse_args([command])
-            assert args.executor == "interpreter"
-            args = build_parser().parse_args([command, "--executor", "fused"])
-            assert args.executor == "fused"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run-imgclass", "--executor", "turbo"])
-        # run <spec> defaults to None: the spec's own knob wins unless given.
-        assert build_parser().parse_args(["run", "spec.yml"]).executor is None
-        assert (
-            build_parser().parse_args(["run", "spec.yml", "--executor", "fused"]).executor
-            == "fused"
-        )
-
+class TestWorkersFlag:
     def _run(self, tmp_path, tag, *extra):
         output_dir = tmp_path / tag
         exit_code = main(
@@ -212,11 +197,10 @@ class TestExecutorFlag:
         assert exit_code == 0
         return output_dir
 
-    def test_campaign_outputs_byte_identical_across_executors(self, tmp_path, capsys):
-        """The executor knob may change speed, never results (serial + sharded)."""
-        baseline = self._run(tmp_path, "module", "--executor", "module")
-        fused = self._run(tmp_path, "fused", "--executor", "fused")
-        sharded = self._run(tmp_path, "fused-sharded", "--executor", "fused", "--workers", "2")
+    def test_campaign_outputs_byte_identical_serial_and_sharded(self, tmp_path, capsys):
+        """Sharding may change speed, never results."""
+        serial = self._run(tmp_path, "serial")
+        sharded = self._run(tmp_path, "sharded", "--workers", "2")
         capsys.readouterr()
         for name in (
             "lenet5_corrupted_results.csv",
@@ -225,9 +209,7 @@ class TestExecutorFlag:
             "lenet5_faults.npz",
             "lenet5_summary_kpis.json",
         ):
-            want = (baseline / name).read_bytes()
-            assert (fused / name).read_bytes() == want, f"{name}: fused != module"
-            assert (sharded / name).read_bytes() == want, f"{name}: sharded fused != module"
+            assert (sharded / name).read_bytes() == (serial / name).read_bytes(), name
 
 
 class TestImgClassCommand:

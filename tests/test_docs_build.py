@@ -48,14 +48,14 @@ def test_cli_build_check_and_coverage_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["coverage", "--fail-under", "100"]) == 0
     out = capsys.readouterr().out
-    assert "repro.nn.fuse" in out
+    assert "repro.nn.forward_plan" in out
 
 
 def test_guides_cross_link_and_exist():
     docs = DOCS_API.parent
-    for name in ("index.md", "architecture.md", "ir.md"):
+    for name in ("index.md", "architecture.md", "forward-plans.md"):
         assert (docs / name).exists(), name
     architecture = (docs / "architecture.md").read_text()
-    assert "ir.md" in architecture and "api/index.md" in architecture
+    assert "forward-plans.md" in architecture and "api/index.md" in architecture
     readme = (docs.parent / "README.md").read_text()
-    assert "docs/architecture.md" in readme and "docs/ir.md" in readme
+    assert "docs/architecture.md" in readme and "docs/forward-plans.md" in readme

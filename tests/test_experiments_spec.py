@@ -32,9 +32,7 @@ def full_spec() -> ExperimentSpec:
         protection=ComponentSpec("ranger", {"layer_types": None}),
         backend=BackendSpec("sharded", workers=2, num_shards=3),
         caching=CachingSpec(golden_cache_mb=64, prefix_reuse=False),
-        execution=ExecutionSpec(
-            retries=1, shard_timeout=30.0, backoff=0.25, resume=False, executor="fused"
-        ),
+        execution=ExecutionSpec(retries=1, shard_timeout=30.0, backoff=0.25, resume=False),
         input_shape=(3, 64, 64),
         dl_shuffle=True,
         output_dir=Path("out/dir"),
@@ -144,20 +142,36 @@ class TestValidation:
         with pytest.raises(SpecError, match="execution.backoff"):
             ExperimentSpec(execution=ExecutionSpec(backoff=-0.5)).validate()
 
-    def test_executor_validated_against_registry(self):
-        with pytest.raises(SpecError, match="execution.executor"):
-            ExperimentSpec(execution=ExecutionSpec(executor="turbo")).validate()
-        for name in ("module", "interpreter", "fused"):
-            ExperimentSpec(execution=ExecutionSpec(executor=name)).validate()
-
-    def test_executor_round_trips_and_defaults(self):
+    def test_removed_executor_key_is_rejected(self):
         data = full_spec().as_dict()
-        assert data["execution"]["executor"] == "fused"
-        assert ExperimentSpec.from_dict(data).execution.executor == "fused"
-        del data["execution"]["executor"]
-        assert ExperimentSpec.from_dict(data).execution.executor == "interpreter"
-        data["execution"]["executor"] = None
-        assert ExperimentSpec.from_dict(data).execution.executor == "interpreter"
+        data["execution"]["executor"] = "module"
+        with pytest.raises(SpecError, match=r"unknown execution keys: \['executor'\]"):
+            ExperimentSpec.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "section, key, default",
+        [
+            ("execution", "resume", False),
+            ("caching", "prefix_reuse", True),
+            (None, "dl_shuffle", False),
+        ],
+    )
+    def test_boolean_fields_are_strict(self, section, key, default):
+        data = full_spec().as_dict()  # sharded with an output_dir, so resume is legal
+        target = data[section] if section is not None else data
+        where = f"{section}.{key}" if section is not None else key
+
+        def parse(value):
+            target[key] = value
+            spec = ExperimentSpec.from_dict(data)
+            owner = getattr(spec, section) if section is not None else spec
+            return getattr(owner, key)
+
+        for bad in ("false", "true", 0, 1, [], {}):
+            with pytest.raises(SpecError, match=f"{where} must be a boolean"):
+                parse(bad)
+        assert parse(None) is default
+        assert parse(not default) is (not default)
 
     def test_resume_requires_sharded_backend_and_output_dir(self):
         with pytest.raises(SpecError, match="resume requires the 'sharded' backend"):
@@ -268,7 +282,7 @@ class TestBuilder:
             )
             .backend("sharded", workers=2, num_shards=3)
             .caching(golden_cache_mb=64, prefix_reuse=False)
-            .execution(retries=1, shard_timeout=30.0, backoff=0.25, executor="fused")
+            .execution(retries=1, shard_timeout=30.0, backoff=0.25)
             .input_shape(3, 64, 64)
             .shuffle(True)
             .output_dir("out/dir")
@@ -276,6 +290,16 @@ class TestBuilder:
             .build()
         )
         assert built == full_spec()
+
+    def test_builder_boolean_knobs_are_strict(self):
+        builder = Experiment.builder()
+        with pytest.raises(SpecError, match="caching.prefix_reuse must be a boolean"):
+            builder.caching(prefix_reuse="false")
+        with pytest.raises(SpecError, match="execution.resume must be a boolean"):
+            builder.execution(resume="false")
+        with pytest.raises(SpecError, match="dl_shuffle must be a boolean"):
+            builder.shuffle("false")
+        assert builder.shuffle(False).caching(prefix_reuse=False).build().dl_shuffle is False
 
     def test_builder_returns_independent_specs(self):
         builder = Experiment.builder().name("a")

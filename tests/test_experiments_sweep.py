@@ -152,6 +152,13 @@ class TestExpand:
         # The base spec is untouched by expansion.
         assert plan.base.scenario.layer_range is None
 
+    def test_dl_shuffle_axis_takes_booleans_only(self):
+        spec = base_builder().sweep(axes={"dl_shuffle": [False, True]}).build()
+        assert [point.spec.dl_shuffle for point in expand(spec).points] == [False, True]
+        spec.sweep.axes["dl_shuffle"] = [False, "false"]
+        with pytest.raises(SweepError, match="dl_shuffle must be a boolean"):
+            expand(spec)
+
     def test_invalid_grid_value_fails_at_expansion(self):
         spec = layer_sweep_spec()
         spec.sweep.axes["scenario.layer_range"] = [[0, 0], "not-a-range"]

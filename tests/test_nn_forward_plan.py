@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.models import alexnet, lenet5, mlp, resnet18, vgg16
+from repro.models import (
+    alexnet,
+    lenet5,
+    mlp,
+    mobilenet_lite,
+    resnet18,
+    resnet50,
+    squeezenet_lite,
+    vgg11,
+    vgg16,
+)
 from repro.nn import ActivationArena, ForwardPlan
 
 
@@ -12,7 +22,13 @@ def _input(batch=2, seed=0):
     return np.random.default_rng(seed).normal(size=(batch, 3, 32, 32)).astype(np.float32)
 
 
-@pytest.fixture(params=[mlp, lenet5, alexnet, vgg16, resnet18], ids=lambda f: f.__name__)
+@pytest.fixture(
+    params=[
+        mlp, lenet5, alexnet, vgg16, resnet18,
+        vgg11, resnet50, mobilenet_lite, squeezenet_lite,
+    ],
+    ids=lambda f: f.__name__,
+)
 def model_and_plan(request):
     model = request.param(num_classes=10, seed=0).eval()
     x = _input()
@@ -135,6 +151,37 @@ class TestResume:
         k = plan.num_segments // 2
         resumed = np.asarray(plan.resume(k, plan.run_prefix(x, k)))
         assert resumed.tobytes() == full.tobytes()
+
+    def test_resume_leaves_the_boundary_activation_untouched(self, model_and_plan):
+        # Boundary activations come from the golden cache and are reused by
+        # every later faulty suffix, so no segment may write into its input.
+        _, plan, x = model_and_plan
+        for k in range(plan.num_segments):
+            boundary = plan.run_prefix(x, k)
+            snapshot = boundary.tobytes()
+            plan.resume(k, boundary)
+            assert boundary.tobytes() == snapshot, f"resume at segment {k} wrote its input"
+
+    def test_forward_hooks_fire_on_resume(self):
+        model = nn.Sequential(
+            nn.Linear(8, 8, rng=np.random.default_rng(4)), nn.ReLU(), nn.Linear(8, 2)
+        ).eval()
+        x = np.random.default_rng(5).normal(size=(2, 8)).astype(np.float32)
+        plan = ForwardPlan.trace(model, x)
+        boundaries = [plan.run_prefix(x, k) for k in range(plan.num_segments)]
+        seen = []
+        handle = model._modules["1"].register_forward_hook(
+            lambda module, args, out: seen.append(out.copy())
+        )
+        try:
+            outputs = [plan.resume(k, boundaries[k]) for k in range(plan.num_segments)]
+        finally:
+            handle.remove()
+        # The hook fires in the two passes that run segment 1, not in the third.
+        assert len(seen) == 2
+        np.testing.assert_array_equal(seen[0], seen[1])
+        np.testing.assert_array_equal(seen[0], boundaries[2])
+        assert outputs[0].tobytes() == model(x).tobytes()
 
     def test_resume_index_bounds_checked(self, model_and_plan):
         _, plan, x = model_and_plan

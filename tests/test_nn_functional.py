@@ -375,6 +375,25 @@ class TestNormalisationAndShaping:
         assert F.flatten(x, start_dim=2).shape == (2, 3, 20)
 
 
+class TestLayoutCanonicalReductions:
+    def test_functional_reductions_are_layout_canonical(self):
+        # A boundary activation read back from a golden-cache spill file is
+        # contiguous while the live activation may be a strided conv output;
+        # reductions must give the same bits for both (docs/forward-plans.md).
+        rng = np.random.default_rng(12)
+        base = rng.normal(size=(2, 6, 8, 8)).astype(np.float32)
+        strided = np.asfortranarray(base)
+        assert not strided.flags["C_CONTIGUOUS"]
+        assert F.softmax(base, axis=1).tobytes() == F.softmax(strided, axis=1).tobytes()
+        assert (
+            F.adaptive_avg_pool2d(base, 1).tobytes()
+            == F.adaptive_avg_pool2d(strided, 1).tobytes()
+        )
+        assert (
+            F.max_pool2d(base, 2, 2, 0).tobytes() == F.max_pool2d(strided, 2, 2, 0).tobytes()
+        )
+
+
 class TestPool2dVectorized:
     """The vectorized pooling must match the naive window-loop oracle byte for byte."""
 
@@ -437,7 +456,7 @@ class TestPool2dVectorized:
 
 
 class TestZooKernelOracles:
-    """Whole models give the oracle kernels' bytes, on the module and fused executors."""
+    """Whole models, run through their forward plans, give the oracle kernels' bytes."""
 
     @pytest.mark.parametrize("name", MODELS.names())
     @pytest.mark.parametrize("batch", [1, 3])
@@ -445,16 +464,12 @@ class TestZooKernelOracles:
         model = MODELS.get(name)(seed=0).eval()
         x = np.random.default_rng(batch).normal(size=(batch, 3, 32, 32)).astype(np.float32)
 
-        def run_all():
-            results = {}
-            for executor in ("module", "fused"):
-                plan = ForwardPlan.trace(model, x, executor=executor)
-                results[executor] = (plan.executor_name, _output_bytes(plan.resume(0, x)))
-            return results
+        def run_plan():
+            return _output_bytes(ForwardPlan.trace(model, x).resume(0, x))
 
-        actual = run_all()
+        actual = run_plan()
         use_oracle_kernels(monkeypatch)
-        assert actual == run_all()
+        assert actual == run_plan()
 
 
 def _output_bytes(output):
