@@ -142,6 +142,13 @@ class TestValidation:
         with pytest.raises(SpecError, match="execution.backoff"):
             ExperimentSpec(execution=ExecutionSpec(backoff=-0.5)).validate()
 
+    def test_execution_round_trips_without_an_executor_key(self):
+        data = full_spec().as_dict()
+        assert "executor" not in data["execution"]
+        spec = ExperimentSpec.from_dict(data)
+        assert not hasattr(spec.execution, "executor")
+        assert spec.as_dict() == data
+
     def test_removed_executor_key_is_rejected(self):
         data = full_spec().as_dict()
         data["execution"]["executor"] = "module"
